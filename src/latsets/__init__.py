@@ -1,6 +1,6 @@
 """Cancellative and recovering set families on chain-product lattices.
 
-Verification, explicit constructions, exact branch-and-bound search and
+Verification, explicit constructions, exact Russian-doll search and
 size bounds for three nested properties of point families on the Boolean
 lattice B_n and on products of chains D_{l1,...,lk}: cancellative (anchored
 meets are injective), strongly cancellative (meets and joins), and

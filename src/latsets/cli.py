@@ -273,7 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True,
                    choices=["cancellative", "strongly-cancellative", "recovering"])
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=_default_threads(),
+                   help="validated (>= 1) but inert: search runs on one thread")
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--seed", help="set file used as the initial incumbent")
     p.add_argument("--progress", type=int, default=0, metavar="NODES",

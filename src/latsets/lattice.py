@@ -21,6 +21,11 @@ from typing import Iterable, Iterator, Sequence
 DEFAULT_ENUMERATION_CAP = 1 << 24
 
 
+def _is_int(value) -> bool:
+    """True for ints but not bools, which JSON true/false would smuggle in."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Point:
     """A lattice point: coords[i] is the position along chain i (0-based)."""
@@ -30,7 +35,7 @@ class Point:
     def __post_init__(self) -> None:
         coords = tuple(self.coords)
         for c in coords:
-            if not isinstance(c, int) or c < 0:
+            if not _is_int(c) or c < 0:
                 raise ValueError(f"coordinates must be non-negative integers, got {c!r}")
         object.__setattr__(self, "coords", coords)
 
@@ -93,7 +98,7 @@ class ChainProductLattice:
         if len(lengths) < 1:
             raise ValueError("a chain product needs at least one chain")
         for l in lengths:
-            if not isinstance(l, int) or l < 1:
+            if not _is_int(l) or l < 1:
                 raise ValueError(f"chain lengths must be integers >= 1, got {l!r}")
         object.__setattr__(self, "lengths", lengths)
 
@@ -214,7 +219,7 @@ def subset_encode(subset: Iterable[int], n: int) -> Point:
         raise ValueError("B_n needs n >= 1")
     coords = [0] * n
     for e in subset:
-        if not isinstance(e, int) or not 1 <= e <= n:
+        if not _is_int(e) or not 1 <= e <= n:
             raise ValueError(f"subset element {e!r} outside 1..{n}")
         if coords[e - 1]:
             raise ValueError(f"duplicate subset element {e}")

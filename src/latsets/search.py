@@ -1,25 +1,30 @@
 """Exact and greedy maximum-family search on chain-product lattices.
 
-Exact search runs depth-first over the lattice points in canonical order,
-growing families with strictly increasing point indices so every family is
-visited at most once.  Feasibility of adding a point is incremental:
-per-anchor meet/join value sets cover the triple conditions and global
-unordered-pair value sets cover the quad conditions, so a candidate test
-costs O(|S|).  A branch is pruned when current size plus remaining
-candidates cannot beat the incumbent.
+Exact search is Russian-doll search (Verfaillie, Lemaitre and Schiex,
+"Russian doll search for solving constraint optimization problems",
+AAAI 1996), in the form Ostergard gave it for maximum cliques ("A fast
+algorithm for the maximum clique problem", Discrete Appl. Math. 120,
+2002).  Families grow depth-first with strictly increasing point indices
+in canonical order, so every family is visited at most once.  All three
+properties are hereditary: every subfamily of a valid family is valid.
+So c[i], the largest family among the points i..n-1, bounds what the
+points from i on can add to any family.  Stage i = n-1, ..., 0 asks only
+whether some family of c[i+1]+1 points starts at point i, pruning a
+candidate j when size + c[j] falls short of that target and stopping at
+the first hit; c[i] is then c[i+1] or c[i+1]+1, and c[0] is the optimum.
 
-With thread_count > 1 the top level of the tree becomes one subproblem per
-first point; workers share only the monotonically improving best size (and
-the node counter), so best_size and proven_optimal are identical for every
-thread count.  After a completed search the witness is normalized by a
-single-threaded rerun that returns the canonically first family of the
-optimal size; nodes_explored counts the search itself, not that rerun.
+Feasibility of adding a point is incremental: per-anchor meet/join value
+sets cover the triple conditions and global unordered-pair value sets
+cover the quad conditions, so a candidate test costs O(|S|).
+
+After a completed search the witness is a c-pruned rerun that returns the
+canonically first family of the optimal size; nodes_explored counts the
+stages, not that rerun.  Search runs on one thread; thread_count is
+validated but does not change the search.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,8 +49,6 @@ MODES = (EXACT, GREEDY)
 
 DEFAULT_NODE_BUDGET = 10**9
 
-_FLUSH = 32  # nodes counted locally before syncing with the shared total
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -54,7 +57,8 @@ class SearchConfig:
     node_budget bounds the number of visited families (None = unlimited);
     when it is exhausted the result carries proven_optimal = False.  A seed
     set must itself satisfy the property and serves as the initial
-    incumbent.  progress, when set, is called with (nodes, best_size) about
+    incumbent.  thread_count is validated but inert: search runs on one
+    thread.  progress, when set, is called with (nodes, best_size) about
     every progress_interval nodes.
     """
 
@@ -177,102 +181,6 @@ class _State:
                 anchor_vals.remove(v)
 
 
-class _Shared:
-    """State shared between workers: incumbent, node count, stop flag."""
-
-    def __init__(self, best_size, best_indices, budget, progress_interval, progress):
-        self.lock = threading.Lock()
-        self.best_size = best_size
-        self.best_indices = tuple(best_indices)
-        self.nodes = 0
-        self.budget = budget
-        self.stopped = False
-        self.progress_interval = progress_interval
-        self.progress = progress
-        self._next_report = progress_interval if progress_interval else None
-
-    def offer(self, size: int, indices: list) -> None:
-        with self.lock:
-            if size > self.best_size:
-                self.best_size = size
-                self.best_indices = tuple(indices)
-
-    def add_nodes(self, count: int) -> bool:
-        fire = None
-        with self.lock:
-            self.nodes += count
-            if self.budget is not None and self.nodes >= self.budget:
-                self.stopped = True
-            if self._next_report is not None and self.nodes >= self._next_report:
-                self._next_report = self.nodes + self.progress_interval
-                fire = (self.nodes, self.best_size)
-            stopped = self.stopped
-        if fire is not None and self.progress is not None:
-            self.progress(*fire)
-        return stopped
-
-
-class _Worker:
-    def __init__(self, vals, prop, meet_op, join_op, shared):
-        self.vals = vals
-        self.state = _State(prop, meet_op, join_op)
-        self.chosen: list[int] = []
-        self.shared = shared
-        self.pending = 0
-
-    def _tick(self) -> bool:
-        self.pending += 1
-        if self.pending >= _FLUSH:
-            stopped = self.shared.add_nodes(self.pending)
-            self.pending = 0
-            return stopped
-        return self.shared.stopped
-
-    def flush(self) -> None:
-        if self.pending:
-            self.shared.add_nodes(self.pending)
-            self.pending = 0
-
-    def extend(self, start: int) -> None:
-        shared = self.shared
-        vals, state, chosen = self.vals, self.state, self.chosen
-        n = len(vals)
-        size = len(chosen)
-        for c in range(start, n):
-            if size + (n - c) <= shared.best_size:
-                break  # even taking every remaining point only ties
-            if shared.stopped:
-                return
-            if state.try_push(vals[c]):
-                chosen.append(c)
-                if size + 1 > shared.best_size:
-                    shared.offer(size + 1, chosen)
-                stop = self._tick()
-                if not stop:
-                    self.extend(c + 1)
-                state.pop()
-                chosen.pop()
-                if stop:
-                    return
-
-    def run_branch(self, c: int) -> None:
-        """One top-level subproblem: families whose first point index is c."""
-        shared = self.shared
-        n = len(self.vals)
-        if n - c <= shared.best_size or shared.stopped:
-            self.flush()
-            return
-        if self.state.try_push(self.vals[c]):
-            self.chosen.append(c)
-            if shared.best_size < 1:
-                shared.offer(1, self.chosen)
-            if not self._tick():
-                self.extend(c + 1)
-            self.state.pop()
-            self.chosen.pop()
-        self.flush()
-
-
 def _seed_indices(config: SearchConfig, points) -> tuple[int, ...]:
     if config.seed_set is None:
         return ()
@@ -289,71 +197,97 @@ def _encoded(lattice: ChainProductLattice, points):
     return _encode_set(PointSet(lattice, tuple(points)))
 
 
-def _first_of_size(vals, prop, meet_op, join_op, target: int):
-    """Canonically first family of exactly `target` points, or None."""
-    n = len(vals)
-    state = _State(prop, meet_op, join_op)
-    chosen: list[int] = []
+class _Search:
+    """Depth-first search for a family of a given size, pruned by the
+    suffix optima c (c[j] = largest family among points j..n-1).
 
-    def extend(start: int) -> bool:
-        if len(chosen) == target:
-            return True
+    Every successful push is one node; the node budget is checked after
+    each, and progress is reported every progress_interval nodes.
+    """
+
+    def __init__(self, vals, state: _State, c: list, budget=None,
+                 progress_interval: int = 0, progress=None, best_size: int = 0):
+        self.vals = vals
+        self.state = state
+        self.c = c
+        self.chosen: list[int] = []
+        self.nodes = 0
+        self.budget = budget
+        self.stopped = False
+        self.interval = progress_interval if progress is not None else 0
+        self.progress = progress
+        self.best_size = best_size  # incumbent size, for progress reports
+
+    def first_of_size(self, start: int, target: int) -> Optional[tuple]:
+        """Canonically first way to extend the chosen points to `target`
+        points from indices start.., or None (also when the budget ran out).
+        The state is restored either way."""
+        vals, c, state, chosen = self.vals, self.c, self.state, self.chosen
         size = len(chosen)
-        for c in range(start, n):
-            if size + (n - c) < target:
-                break
-            if state.try_push(vals[c]):
-                chosen.append(c)
-                if extend(c + 1):
-                    return True
-                state.pop()
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if extend(0) else None
+        for j in range(start, len(vals)):
+            if size + c[j] < target:
+                return None  # c is non-increasing: no later j can do better
+            if not state.try_push(vals[j]):
+                continue
+            chosen.append(j)
+            self.nodes += 1
+            if self.nodes == self.budget:
+                self.stopped = True
+            if self.interval and self.nodes % self.interval == 0:
+                self.progress(self.nodes, self.best_size)
+            if size + 1 == target:
+                found = tuple(chosen)
+            else:
+                found = None if self.stopped else self.first_of_size(j + 1, target)
+            state.pop()
+            chosen.pop()
+            if found is not None or self.stopped:
+                return found
+        return None
 
 
 def exact_max(config: SearchConfig) -> SearchResult:
-    """Maximum family satisfying the property, by branch and bound.
+    """Maximum family satisfying the property, by Russian-doll search.
 
-    proven_optimal is True exactly when the search ran to completion within
-    the node budget; the returned witness is then the canonically first
-    family of maximum size.  The witness is re-verified before returning.
+    proven_optimal is True exactly when the stages finished before the
+    node budget ran out; the returned witness is then the canonically first family
+    of maximum size.  Otherwise it is the larger of the seed (which wins
+    ties) and the family found by the last successful stage.  The witness
+    is re-verified before returning.
     """
     prop = normalize_property(config.property_name)
     points = enumerate_lattice(config.lattice, config.enumeration_cap)
     vals, meet_op, join_op, _ = _encoded(config.lattice, points)
     seed = _seed_indices(config, points)
-    shared = _Shared(
-        len(seed), seed, config.node_budget, config.progress_interval, config.progress
-    )
     n = len(points)
+    c = [0] * (n + 1)
+    search = _Search(vals, _State(prop, meet_op, join_op), c, config.node_budget,
+                     config.progress_interval, config.progress, len(seed))
+    best_indices = seed
+    for i in range(n - 1, -1, -1):
+        # stage i: is there a family of c[i+1]+1 points whose first point is i?
+        # c[i] is set first so that point i passes the size + c[j] test.
+        c[i] = c[i + 1] + 1
+        found = search.first_of_size(i, c[i])
+        if found is None:
+            c[i] -= 1
+        elif len(found) > len(best_indices):
+            best_indices = found
+            search.best_size = len(found)
+        if search.stopped:
+            break
 
-    if config.thread_count == 1:
-        worker = _Worker(vals, prop, meet_op, join_op, shared)
-        worker.extend(0)
-        worker.flush()
-    else:
-        def branch(c: int) -> None:
-            _Worker(vals, prop, meet_op, join_op, shared).run_branch(c)
-
-        with ThreadPoolExecutor(max_workers=config.thread_count) as pool:
-            list(pool.map(branch, range(n)))
-
-    proven = not shared.stopped
-    best_indices = shared.best_indices
-    if proven and shared.best_size > 0:
-        canon = _first_of_size(vals, prop, meet_op, join_op, shared.best_size)
-        if canon is None:  # pragma: no cover - the incumbent proves one exists
+    proven = not search.stopped
+    if proven:
+        witness = _Search(vals, _State(prop, meet_op, join_op), c)
+        best_indices = witness.first_of_size(0, c[0])
+        if best_indices is None:  # pragma: no cover - stage 0 proves one exists
             raise RuntimeError("internal error: lost the optimal family")
-        best_indices = canon
 
-    best_set = PointSet(
-        config.lattice, tuple(points[i] for i in sorted(best_indices))
-    )
+    best_set = PointSet(config.lattice, tuple(points[i] for i in best_indices))
     if not satisfies(best_set, prop):  # pragma: no cover - mandatory re-verification
         raise RuntimeError("internal error: search produced an invalid family")
-    return SearchResult(best_set, len(best_indices), proven, shared.nodes)
+    return SearchResult(best_set, len(best_indices), proven, search.nodes)
 
 
 def greedy(config: SearchConfig) -> SearchResult:

@@ -80,6 +80,13 @@ def test_verify_bad_files(capsys, tmp_path):
                            "--property", "recovering")
     assert code == 1
 
+    # a JSON true length would otherwise read as a 1-element chain
+    bool_length = tmp_path / "bool.json"
+    bool_length.write_text('{"lattice": {"kind": "chain_product", "lengths": [true, 3]},'
+                           ' "points": [[0, 0]]}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(bool_length), "--property", "recovering")
+    assert code == 1 and out == "" and "error:" in err
+
 
 def test_usage_errors_exit_1(capsys):
     assert main(["verify"]) == 1  # missing args

@@ -92,6 +92,8 @@ def test_subset_codecs():
         subset_encode({0}, 4)
     with pytest.raises(ValueError):
         subset_encode({5}, 4)
+    with pytest.raises(ValueError, match="True"):
+        subset_encode([True], 2)  # a JSON true is not the element 1
     with pytest.raises(ValueError, match="Boolean"):
         subset_decode(P(0, 2))
 
@@ -150,6 +152,8 @@ def test_lattice_validation():
         ChainProductLattice(())
     with pytest.raises(ValueError):
         ChainProductLattice((2, 0))
+    with pytest.raises(ValueError, match="True"):
+        ChainProductLattice((True, 3))  # not a 1-element chain
     lat = ChainProductLattice((2, 3))
     assert lat.size == 6 and lat.k == 2 and not lat.is_boolean
     assert ChainProductLattice.boolean(3).is_boolean
@@ -165,6 +169,8 @@ def test_point_validation():
         Point((0, -1))
     with pytest.raises(ValueError):
         Point((0.5, 1))
+    with pytest.raises(ValueError, match="True"):
+        Point((True, False))  # JSON true/false are not the integers 1/0
 
 
 def test_point_set_validation():

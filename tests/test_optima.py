@@ -1,0 +1,112 @@
+"""Exact search against pinned optima and against exhaustive enumeration.
+
+Both tests check the witness as well as the size, so an unsound pruning
+rule (one that cuts a branch holding a maximum family) fails them even
+where another family of the same size survives elsewhere in the tree.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from latsets import (
+    PointSet,
+    SearchConfig,
+    enumerate_lattice,
+    exact_max,
+    parse_lattice_spec,
+)
+
+from oracles import NAIVE_CHECKS, random_lattice
+
+SC = "strongly_cancellative"
+REC = "recovering"
+CANC = "cancellative"
+
+# (lattice, property): (optimum, canonical witness as point indices in
+# canonical order), from completed runs of the earlier branch-and-bound
+# search, which pruned only by the count of remaining points.
+OPTIMA = {
+    ("b:2", CANC): (3, (1, 2, 3)),
+    ("b:2", SC): (2, (0, 1)),
+    ("b:2", REC): (2, (0, 1)),
+    ("b:3", CANC): (4, (3, 5, 6, 7)),
+    ("b:3", SC): (2, (0, 1)),
+    ("b:3", REC): (2, (0, 1)),
+    ("b:4", CANC): (5, (3, 5, 10, 12, 15)),
+    ("b:4", SC): (4, (3, 5, 10, 12)),
+    ("b:4", REC): (3, (1, 6, 11)),
+    ("b:5", CANC): (7, (7, 11, 13, 22, 26, 28, 31)),
+    ("b:5", SC): (4, (3, 5, 10, 12)),
+    ("b:5", REC): (4, (3, 12, 21, 26)),
+    ("b:6", CANC): (10, (15, 23, 27, 45, 46, 53, 54, 57, 58, 63)),
+    ("b:6", SC): (8, (7, 11, 21, 25, 38, 42, 52, 56)),
+    ("b:6", REC): (5, (3, 13, 22, 39, 56)),
+    ("d:3,3", CANC): (4, (2, 4, 6, 8)),
+    ("d:3,3", SC): (3, (1, 5, 6)),
+    ("d:3,3", REC): (3, (1, 5, 6)),
+    ("d:3,4", CANC): (4, (2, 5, 8, 10)),
+    ("d:3,4", SC): (3, (1, 6, 8)),
+    ("d:3,4", REC): (3, (1, 6, 8)),
+    ("d:2,3,3", CANC): (5, (5, 7, 11, 15, 17)),
+    ("d:2,3,3", SC): (3, (1, 5, 6)),
+    ("d:2,3,3", REC): (3, (1, 5, 6)),
+    ("d:3^3", CANC): (6, (8, 14, 16, 20, 24, 26)),
+    ("d:3^3", SC): (4, (2, 8, 12, 22)),
+    ("d:3^3", REC): (4, (2, 8, 12, 22)),
+    ("d:4,4", CANC): (5, (3, 6, 9, 12, 15)),
+    ("d:4,4", SC): (4, (2, 7, 8, 13)),
+    ("d:4,4", REC): (4, (2, 7, 8, 13)),
+    ("d:5,5", CANC): (6, (4, 8, 12, 16, 20, 24)),
+    ("d:5,5", SC): (5, (3, 9, 11, 17, 20)),
+    ("d:5,5", REC): (5, (3, 9, 11, 17, 20)),
+    ("d:3,3,4", CANC): (6, (7, 10, 15, 21, 32, 35)),
+    ("d:3,3,4", SC): (4, (2, 7, 8, 21)),
+    ("d:3,3,4", REC): (4, (2, 7, 8, 21)),
+    ("d:4^3", CANC): (8, (15, 27, 30, 39, 45, 51, 60, 63)),
+    ("d:4^3", SC): (5, (3, 11, 21, 38, 52)),
+    ("d:4^3", REC): (5, (3, 11, 21, 38, 52)),
+}
+
+
+def _indices(result, points) -> tuple:
+    index = {p: i for i, p in enumerate(points)}
+    return tuple(index[p] for p in result.best_set.points)
+
+
+@pytest.mark.parametrize("spec,prop", sorted(OPTIMA))
+def test_pinned_optimum(spec, prop):
+    lattice = parse_lattice_spec(spec)
+    result = exact_max(SearchConfig(lattice, prop))
+    assert result.proven_optimal
+    assert (result.best_size, _indices(result, enumerate_lattice(lattice))) == OPTIMA[spec, prop]
+
+
+def lex_first_maximum(lattice, prop) -> tuple:
+    """Lexicographically smallest maximum family (as sorted point indices),
+    by enumerating subsets from the largest size down with the naive
+    definitional checks."""
+    points = enumerate_lattice(lattice)
+    check = NAIVE_CHECKS[prop]
+    for size in range(len(points), 0, -1):
+        for combo in itertools.combinations(range(len(points)), size):
+            if check(PointSet(lattice, tuple(points[i] for i in combo))):
+                return combo
+    raise AssertionError("a single point is always a valid family")
+
+
+def test_canonical_witness_is_lex_first_maximum():
+    rng = random.Random(20240607)
+    tried = 0
+    while tried < 12:
+        lattice = random_lattice(rng, max_k=4, max_l=4)
+        if lattice.size > 12:
+            continue
+        tried += 1
+        points = enumerate_lattice(lattice)
+        for prop in (CANC, SC, REC):
+            result = exact_max(SearchConfig(lattice, prop))
+            assert result.proven_optimal
+            assert _indices(result, points) == lex_first_maximum(lattice, prop), (
+                lattice, prop)

@@ -4,6 +4,7 @@ import pytest
 
 from latsets import (
     ChainProductLattice,
+    PointSet,
     SearchConfig,
     SearchResult,
     block_construction_bn,
@@ -115,12 +116,25 @@ def test_exhaustive_oracle_guard():
 def test_node_budget_exhaustion():
     result = exact("b:4", SC, node_budget=5)
     assert not result.proven_optimal
-    assert result.nodes_explored >= 5
+    assert result.nodes_explored == 5
     assert satisfies(result.best_set, SC)
     # any ample budget completes with the same maximum
     for budget in (10**4, 10**6, None):
         ample = exact("b:4", SC, node_budget=budget)
         assert ample.proven_optimal and ample.best_size == 4
+
+
+def test_budget_keeps_the_larger_incumbent():
+    # budget-stopped: the seed while no completed stage beats it ...
+    seed = block_construction_bn(6)
+    result = exact("b:6", SC, seed_set=seed, node_budget=50)
+    assert not result.proven_optimal and result.nodes_explored == 50
+    assert result.best_set == seed.canonical()
+    # ... otherwise the family of the last successful stage
+    pair = PointSet(seed.lattice, seed.points[:2])
+    result = exact("b:6", SC, seed_set=pair, node_budget=50)
+    assert not result.proven_optimal and result.best_size > 2
+    assert satisfies(result.best_set, SC)
 
 
 def test_seeded_exact():
@@ -224,6 +238,7 @@ def test_incremental_state_matches_verifier():
 def test_budget_with_threads():
     result = exact("b:5", SC, thread_count=4, node_budget=20)
     assert not result.proven_optimal
+    assert result.nodes_explored <= 20
     assert satisfies(result.best_set, SC)
 
 

@@ -78,6 +78,9 @@ def test_parse_errors():
         '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "points": [[0, 5]]}',
         '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "points": [[0], [0]]}',
         '{"lattice": {"kind": "chain_product", "lengths": [3, 3]}, "subsets": [[1]]}',
+        '{"lattice": {"kind": "chain_product", "lengths": [true, 3]}, "points": [[0, 0]]}',
+        '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "points": [[false, 1]]}',
+        '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "subsets": [[true]]}',
         "not json",
     ]
     for text in bad_files:
