@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
 
@@ -210,7 +210,7 @@ def is_antichain(s: PointSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Subset encoding for B_n
+# Subset encoding and bit-mask codes
 # ---------------------------------------------------------------------------
 
 def subset_encode(subset: Iterable[int], n: int) -> Point:
@@ -251,6 +251,31 @@ def mask_to_point(mask: int, n: int) -> Point:
     if mask < 0 or mask >> n:
         raise ValueError(f"mask {mask:#x} does not fit {n} bits")
     return Point(tuple((mask >> i) & 1 for i in range(n)))
+
+
+def mask_codec(lattice: ChainProductLattice) -> tuple[Callable, Callable]:
+    """(encode, decode) of the thermometer code of a chain product.
+
+    Chain i owns an (l_i - 1)-bit block at offset sum_{j<i} (l_j - 1), and
+    value v sets the low v bits of its block.  This is Birkhoff's
+    representation by join-irreducibles: D_{l1..lk} embeds in B_m,
+    m = sum(l_i - 1), as a sublattice, so meet and join become & and |,
+    and a <= b iff mask(a) & mask(b) == mask(a).  On B_n the code is
+    point_to_mask.  The encoder expects points of the lattice.
+    """
+    tables = []  # per chain: value -> mask; the last one is the whole block
+    offset = 0
+    for l in lattice.lengths:
+        tables.append([((1 << v) - 1) << offset for v in range(l)])
+        offset += l - 1
+
+    def encode(p: Point) -> int:
+        return sum(map(list.__getitem__, tables, p.coords))
+
+    def decode(mask: int) -> Point:
+        return Point(tuple((mask & table[-1]).bit_count() for table in tables))
+
+    return encode, decode
 
 
 # ---------------------------------------------------------------------------

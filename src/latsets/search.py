@@ -13,9 +13,11 @@ whether some family of c[i+1]+1 points starts at point i, pruning a
 candidate j when size + c[j] falls short of that target and stopping at
 the first hit; c[i] is then c[i+1] or c[i+1]+1, and c[0] is the optimum.
 
-Feasibility of adding a point is incremental: per-anchor meet/join value
-sets cover the triple conditions and global unordered-pair value sets
-cover the quad conditions, so a candidate test costs O(|S|).
+Points are thermometer masks (lattice.mask_codec), so meet and join are
+& and | on every lattice.  Feasibility of adding a point is incremental:
+per-anchor meet/join value sets cover the triple conditions and global
+unordered-pair value sets cover the quad conditions, so a candidate test
+costs O(|S|).
 
 After a completed search the witness is a c-pruned rerun that returns the
 canonically first family of the optimal size; nodes_explored counts the
@@ -34,14 +36,9 @@ from .lattice import (
     ChainProductLattice,
     PointSet,
     enumerate_lattice,
+    mask_codec,
 )
-from .verify import (
-    RECOVERING,
-    STRONGLY_CANCELLATIVE,
-    _encode_set,
-    normalize_property,
-    satisfies,
-)
+from .verify import RECOVERING, STRONGLY_CANCELLATIVE, normalize_property, satisfies
 
 EXACT = "exact"
 GREEDY = "greedy"
@@ -54,12 +51,13 @@ DEFAULT_NODE_BUDGET = 10**9
 class SearchConfig:
     """Parameters for one search run.
 
-    node_budget bounds the number of visited families (None = unlimited);
-    when it is exhausted the result carries proven_optimal = False.  A seed
+    node_budget bounds the families visited by the Russian-doll stages
+    (None = unlimited); when it runs out, proven_optimal is False.  The
+    canonical-witness rerun of a proven run is outside the budget.  A seed
     set must itself satisfy the property and serves as the initial
     incumbent.  thread_count is validated but inert: search runs on one
-    thread.  progress, when set, is called with (nodes, best_size) about
-    every progress_interval nodes.
+    thread.  progress, when set, is called with (nodes, best_size) every
+    progress_interval nodes, the rerun counting on from the stages.
     """
 
     lattice: ChainProductLattice
@@ -99,13 +97,11 @@ class SearchResult:
 
 
 class _State:
-    """Incremental feasibility state for one growing family."""
+    """Incremental feasibility state for one growing family of masks."""
 
-    def __init__(self, prop: str, meet_op, join_op):
+    def __init__(self, prop: str):
         self.prop = prop
-        self.meet_op = meet_op
-        self.join_op = join_op
-        self.members: list = []
+        self.members: list[int] = []
         if prop == RECOVERING:
             # pair injectivity subsumes the anchored (triple) conditions
             self.pair_meets: set = set()
@@ -117,19 +113,17 @@ class _State:
             )
         self._trail: list = []
 
-    def try_push(self, val) -> bool:
+    def try_push(self, val: int) -> bool:
         """Add val if the family stays feasible; no mutation on failure."""
         members = self.members
-        meet_op = self.meet_op
-        new_meets = [meet_op(val, b) for b in members]
+        new_meets = [val & b for b in members]
         if len(set(new_meets)) != len(new_meets):
             return False
         if self.prop == RECOVERING:
             pair_meets = self.pair_meets
             if any(v in pair_meets for v in new_meets):
                 return False
-            join_op = self.join_op
-            new_joins = [join_op(val, b) for b in members]
+            new_joins = [val | b for b in members]
             pair_joins = self.pair_joins
             if len(set(new_joins)) != len(new_joins) or any(
                 v in pair_joins for v in new_joins
@@ -145,8 +139,7 @@ class _State:
                 return False
         new_joins = None
         if self.join_sets is not None:
-            join_op = self.join_op
-            new_joins = [join_op(val, b) for b in members]
+            new_joins = [val | b for b in members]
             if len(set(new_joins)) != len(new_joins):
                 return False
             for v, anchor_vals in zip(new_joins, self.join_sets):
@@ -193,8 +186,9 @@ def _seed_indices(config: SearchConfig, points) -> tuple[int, ...]:
     return tuple(sorted(index_of[p] for p in seed.points))
 
 
-def _encoded(lattice: ChainProductLattice, points):
-    return _encode_set(PointSet(lattice, tuple(points)))
+def _encoded(lattice: ChainProductLattice, points) -> list[int]:
+    encode, _ = mask_codec(lattice)
+    return [encode(p) for p in points]
 
 
 class _Search:
@@ -257,11 +251,11 @@ def exact_max(config: SearchConfig) -> SearchResult:
     """
     prop = normalize_property(config.property_name)
     points = enumerate_lattice(config.lattice, config.enumeration_cap)
-    vals, meet_op, join_op, _ = _encoded(config.lattice, points)
+    vals = _encoded(config.lattice, points)
     seed = _seed_indices(config, points)
     n = len(points)
     c = [0] * (n + 1)
-    search = _Search(vals, _State(prop, meet_op, join_op), c, config.node_budget,
+    search = _Search(vals, _State(prop), c, config.node_budget,
                      config.progress_interval, config.progress, len(seed))
     best_indices = seed
     for i in range(n - 1, -1, -1):
@@ -278,16 +272,17 @@ def exact_max(config: SearchConfig) -> SearchResult:
             break
 
     proven = not search.stopped
+    nodes = search.nodes
     if proven:
-        witness = _Search(vals, _State(prop, meet_op, join_op), c)
-        best_indices = witness.first_of_size(0, c[0])
+        search.budget = None  # the rerun is outside the budget and nodes_explored
+        best_indices = search.first_of_size(0, c[0])
         if best_indices is None:  # pragma: no cover - stage 0 proves one exists
             raise RuntimeError("internal error: lost the optimal family")
 
     best_set = PointSet(config.lattice, tuple(points[i] for i in best_indices))
     if not satisfies(best_set, prop):  # pragma: no cover - mandatory re-verification
         raise RuntimeError("internal error: search produced an invalid family")
-    return SearchResult(best_set, len(best_indices), proven, search.nodes)
+    return SearchResult(best_set, len(best_indices), proven, nodes)
 
 
 def greedy(config: SearchConfig) -> SearchResult:
@@ -296,10 +291,10 @@ def greedy(config: SearchConfig) -> SearchResult:
     applicable upper bound, which certifies it as a true maximum."""
     prop = normalize_property(config.property_name)
     points = enumerate_lattice(config.lattice, config.enumeration_cap)
-    vals, meet_op, join_op, _ = _encoded(config.lattice, points)
+    vals = _encoded(config.lattice, points)
     seed = set(_seed_indices(config, points))
 
-    state = _State(prop, meet_op, join_op)
+    state = _State(prop)
     chosen: list[int] = []
     for i in sorted(seed):
         if not state.try_push(vals[i]):  # pragma: no cover - seed was verified

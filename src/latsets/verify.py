@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .entropy import Distribution, entropy
-from .lattice import Point, PointSet, canonical_key, mask_to_point, point_to_mask
+from .lattice import Point, PointSet, canonical_key, mask_codec
 
 CANCELLATIVE = "cancellative"
 STRONGLY_CANCELLATIVE = "strongly_cancellative"
@@ -48,42 +48,18 @@ def normalize_property(name: str) -> str:
     return prop
 
 
-def _check_operation(operation: str) -> str:
+def _operator(operation: str) -> Callable[[int, int], int]:
+    """The mask operator of "meet" (&) or "join" (|)."""
     if operation not in OPERATIONS:
         raise ValueError(f"unknown operation {operation!r}; expected 'meet' or 'join'")
-    return operation
+    return operator.and_ if operation == MEET else operator.or_
 
 
 def _encode_set(s: PointSet):
-    """Pick the value encoding: packed bit masks on B_n, coordinate tuples
-    otherwise.  Returns (values, meet_op, join_op, decode)."""
-    if s.lattice.is_boolean:
-        k = s.lattice.k
-        vals = [point_to_mask(p) for p in s.points]
-        return vals, operator.and_, operator.or_, lambda m: mask_to_point(m, k)
-
-    def tuple_min(a, b):
-        return tuple(map(min, a, b))
-
-    def tuple_max(a, b):
-        return tuple(map(max, a, b))
-
-    vals = [p.coords for p in s.points]
-    return vals, tuple_min, tuple_max, Point
-
-
-def _anchored_injective(vals: list, op: Callable) -> bool:
-    # triple condition: for every anchor a, the map b -> a ^ b is injective
-    for i, a in enumerate(vals):
-        seen = set()
-        for j, b in enumerate(vals):
-            if j == i:
-                continue
-            v = op(a, b)
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
+    """The points as thermometer masks (lattice.mask_codec), on which meet
+    and join are & and |, and the decoder back to points."""
+    encode, decode = mask_codec(s.lattice)
+    return [encode(p) for p in s.points], decode
 
 
 def _pairwise_injective(vals: list, op: Callable) -> bool:
@@ -99,18 +75,18 @@ def _pairwise_injective(vals: list, op: Callable) -> bool:
 
 
 def is_cancellative(s: PointSet) -> bool:
-    vals, meet_op, _, _ = _encode_set(s)
-    return _anchored_injective(vals, meet_op)
+    vals, _ = _encode_set(s)
+    return _min_triple(vals, operator.and_) is None
 
 
 def is_strongly_cancellative(s: PointSet) -> bool:
-    vals, meet_op, join_op, _ = _encode_set(s)
-    return _anchored_injective(vals, meet_op) and _anchored_injective(vals, join_op)
+    vals, _ = _encode_set(s)
+    return _min_triple(vals, operator.and_) is None and _min_triple(vals, operator.or_) is None
 
 
 def is_recovering(s: PointSet) -> bool:
-    vals, meet_op, join_op, _ = _encode_set(s)
-    return _pairwise_injective(vals, meet_op) and _pairwise_injective(vals, join_op)
+    vals, _ = _encode_set(s)
+    return _pairwise_injective(vals, operator.and_) and _pairwise_injective(vals, operator.or_)
 
 
 _CHECKS = {
@@ -155,14 +131,14 @@ class Violation:
 
 
 def _min_triple(vals: list, op: Callable):
-    """Lexicographically first (anchor, b1, b2) with anchor^b1 = anchor^b2."""
-    n = len(vals)
-    for i in range(n):
+    """First (anchor, b1, b2), b1 < b2, with anchor^b1 = anchor^b2, by anchor
+    and then by b2; None iff the triple condition holds."""
+    for i, a in enumerate(vals):
         seen: dict = {}
-        for j in range(n):
+        for j, b in enumerate(vals):
             if j == i:
                 continue
-            v = op(vals[i], vals[j])
+            v = op(a, b)
             if v in seen:
                 return (i, seen[v], j), v
             seen[v] = j
@@ -197,21 +173,24 @@ def _min_quad(vals: list, op: Callable):
 def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
     """The canonical witness of failure, or None when the property holds.
 
-    Among all violations of the property the returned one minimizes the
-    tuple of witness points in canonical order, with ties broken by kind
-    (MeetTriple, JoinTriple, MeetQuad, JoinQuad).
+    Witnesses are compared by their indices in canonical order.  Within a
+    kind, a triple (a1, a2, a3) with a2 < a3 is first by anchor a1, then by
+    the later member a3; a quad (a1, a2, a3, a4) with a1 < a2, a3 < a4 and
+    (a1, a2) < (a3, a4) is lexicographically first.  Across kinds the
+    smaller witness tuple wins, ties broken by kind (MeetTriple,
+    JoinTriple, MeetQuad, JoinQuad).
     """
     prop = normalize_property(prop)
     pts = sorted(s.points, key=canonical_key)
     ordered = PointSet(s.lattice, tuple(pts))
-    vals, meet_op, join_op, decode = _encode_set(ordered)
+    vals, decode = _encode_set(ordered)
 
-    searches = [(MEET_TRIPLE, _min_triple, meet_op)]
+    searches = [(MEET_TRIPLE, _min_triple, operator.and_)]
     if prop in (STRONGLY_CANCELLATIVE, RECOVERING):
-        searches.append((JOIN_TRIPLE, _min_triple, join_op))
+        searches.append((JOIN_TRIPLE, _min_triple, operator.or_))
     if prop == RECOVERING:
-        searches.append((MEET_QUAD, _min_quad, meet_op))
-        searches.append((JOIN_QUAD, _min_quad, join_op))
+        searches.append((MEET_QUAD, _min_quad, operator.and_))
+        searches.append((JOIN_QUAD, _min_quad, operator.or_))
 
     best = None
     for kind, finder, op in searches:
@@ -244,11 +223,10 @@ def pair_statistics(s: PointSet, operation: str) -> PairStatistics:
     Pairs with a = b are included, so the counts sum to |S|^2; the
     distribution assigns each value count / |S|^2.
     """
-    _check_operation(operation)
+    op = _operator(operation)
     if s.size < 1:
         raise ValueError("pair statistics need at least one point")
-    vals, meet_op, join_op, decode = _encode_set(s)
-    op = meet_op if operation == MEET else join_op
+    vals, decode = _encode_set(s)
     counts: Counter = Counter()
     for i, a in enumerate(vals):
         counts[a] += 1  # the (a, a) pair; meet and join are idempotent
@@ -266,13 +244,12 @@ def anchored_entropy(s: PointSet, v: Point, operation: str) -> float:
     On a strongly cancellative family all |S| - 1 values are distinct, so
     this equals log2(|S| - 1) for every anchor and both operations.
     """
-    _check_operation(operation)
+    op = _operator(operation)
     if s.size < 2:
         raise ValueError("anchored entropy needs at least 2 points")
     if v not in s:
         raise ValueError(f"anchor {v!r} is not in the set")
-    vals, meet_op, join_op, _ = _encode_set(s)
-    op = meet_op if operation == MEET else join_op
+    vals, _ = _encode_set(s)
     anchor = vals[list(s.points).index(v)]
     counts = Counter(op(anchor, b) for b in vals if b != anchor)
     return entropy(Distribution.from_counts(counts))

@@ -9,8 +9,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
+from typing import Optional
 
-from latsets import ChainProductLattice, Point, PointSet, enumerate_lattice
+from latsets import (
+    ChainProductLattice,
+    Point,
+    PointSet,
+    Violation,
+    canonical_key,
+    enumerate_lattice,
+)
 
 
 def _meet(a: Point, b: Point) -> tuple:
@@ -53,6 +62,58 @@ NAIVE_CHECKS = {
     "strongly_cancellative": naive_is_strongly_cancellative,
     "recovering": naive_is_recovering,
 }
+
+
+def _first_triple(pts: list[Point], op) -> Optional[tuple]:
+    # (a1, a2, a3) with a2 < a3, by anchor a1 and then by the later member a3
+    n = len(pts)
+    for a1 in range(n):
+        for a3 in range(n):
+            for a2 in range(a3):
+                if a1 not in (a2, a3) and op(pts[a1], pts[a2]) == op(pts[a1], pts[a3]):
+                    return a1, a2, a3
+    return None
+
+
+def _first_quad(pts: list[Point], op) -> Optional[tuple]:
+    # lexicographically first (a1, a2, a3, a4), a1 < a2, a3 < a4, (a1, a2) < (a3, a4)
+    for w in itertools.permutations(range(len(pts)), 4):
+        a1, a2, a3, a4 = w
+        if a1 < a2 and a3 < a4 and (a1, a2) < (a3, a4):
+            if op(pts[a1], pts[a2]) == op(pts[a3], pts[a4]):
+                return w
+    return None
+
+
+_KINDS = (
+    ("MeetTriple", _first_triple, _meet),
+    ("JoinTriple", _first_triple, _join),
+    ("MeetQuad", _first_quad, _meet),
+    ("JoinQuad", _first_quad, _join),
+)
+_KIND_COUNT = {"cancellative": 1, "strongly_cancellative": 2, "recovering": 4}
+
+
+def naive_find_violation(s: PointSet, prop: str) -> Optional[Violation]:
+    """The violation find_violation documents, by scans over index tuples of
+    the canonically sorted family: the first witness of each kind, then the
+    smallest witness tuple across kinds, ties going to the earlier kind."""
+    pts = sorted(s.points, key=canonical_key)
+    found = []
+    for rank, (kind, first, op) in enumerate(_KINDS[: _KIND_COUNT[prop]]):
+        w = first(pts, op)
+        if w is not None:
+            found.append((w, rank, kind, op(pts[w[0]], pts[w[1]])))
+    if not found:
+        return None
+    w, _, kind, value = min(found)
+    return Violation(kind, tuple(pts[i] for i in w), Point(value))
+
+
+def naive_pair_multiplicity(s: PointSet, operation: str) -> Counter:
+    """Multiplicity of each meet (or join) value over all ordered pairs."""
+    op = _meet if operation == "meet" else _join
+    return Counter(Point(op(a, b)) for a in s.points for b in s.points)
 
 
 def random_lattice(rng: random.Random, max_k: int = 4, max_l: int = 4) -> ChainProductLattice:

@@ -19,6 +19,7 @@ from latsets import (
     subset_decode,
     subset_encode,
 )
+from latsets.lattice import mask_codec
 
 
 def P(*coords):
@@ -113,6 +114,28 @@ def test_masks_agree_with_coords():
         point_to_mask(P(0, 2))
     with pytest.raises(ValueError):
         mask_to_point(1 << n, n)
+
+
+def test_mask_codec_embeds_chain_products():
+    # the thermometer code is an order and lattice embedding into bit masks
+    rng = random.Random(17)
+    for _ in range(60):
+        lengths = tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 4)))
+        lattice = ChainProductLattice(lengths)
+        encode, decode = mask_codec(lattice)
+        points = enumerate_lattice(lattice)
+        assert len({encode(p) for p in points}) == len(points)
+        for _ in range(40):
+            a, b = rng.choice(points), rng.choice(points)
+            ma, mb = encode(a), encode(b)
+            assert decode(ma) == a
+            assert decode(ma & mb) == meet(a, b)
+            assert decode(ma | mb) == join(a, b)
+            assert (ma & mb == ma) == leq(a, b)
+    for n in (1, 3, 8):
+        encode, _ = mask_codec(ChainProductLattice.boolean(n))
+        for p in enumerate_lattice(ChainProductLattice.boolean(n)):
+            assert encode(p) == point_to_mask(p)
 
 
 def test_lattice_laws_random():

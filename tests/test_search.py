@@ -190,6 +190,17 @@ def test_progress_callback():
     assert seen and all(n >= 10 for n, _ in seen)
 
 
+def test_progress_covers_witness_rerun():
+    # the rerun keeps reporting, counting on from the stages' nodes, while
+    # nodes_explored still counts the stages only
+    seen = []
+    result = exact("b:6", CANC, progress_interval=1000,
+                   progress=lambda n, b: seen.append(n))
+    assert result.nodes_explored == exact("b:6", CANC).nodes_explored
+    assert seen == sorted(set(seen)) and all(n % 1000 == 0 for n in seen)
+    assert max(seen) > result.nodes_explored
+
+
 def test_config_validation():
     lat = parse_lattice_spec("b:2")
     with pytest.raises(ValueError):
@@ -216,9 +227,9 @@ def test_incremental_state_matches_verifier():
     rng = random.Random(31415)
     for lattice in (ChainProductLattice.boolean(4), ChainProductLattice((3, 3, 2))):
         points = enumerate_lattice(lattice)
-        vals, meet_op, join_op, _ = _encoded(lattice, points)
+        vals = _encoded(lattice, points)
         for prop in (CANC, SC, REC):
-            state = _State(prop, meet_op, join_op)
+            state = _State(prop)
             members = []
             for _ in range(500):
                 if members and rng.random() < 0.35:
