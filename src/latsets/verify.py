@@ -5,11 +5,15 @@ a1 ^ a2 = a1 ^ a3 (anchored meet injectivity); strongly cancellative when
 the same holds for joins as well; recovering when additionally no four
 distinct points have a1 ^ a2 = a3 ^ a4 or a1 v a2 = a3 v a4.
 
-The triple conditions are checked with one hash map per anchor and the
-quad conditions as injectivity of the unordered-pair meet/join maps, both
-O(|S|^2).  Two unordered pairs of distinct elements either share a point
-(a triple condition) or are disjoint (a quad condition), so joint
-injectivity of the pair maps is exactly the recovering condition.
+Two unordered pairs of distinct elements either share a point (a triple
+condition) or are disjoint (a quad condition), so joint injectivity of the
+unordered-pair meet/join maps is exactly the recovering condition.  Every
+check is O(|S|^2) in time and memory.  The per-pair work runs in C: a row
+of values is built with map(op, repeat(a), ...) and tested with set,
+Counter and list.index, so Python-level loops run per row, per distinct
+value or on rows that hold a collision.  find_violation passes the best
+witness found so far to each later search, which stops once it can no
+longer beat it.
 
 Families of size <= 2 satisfy every property vacuously: the definitions
 quantify over three or four distinct points.
@@ -18,8 +22,9 @@ quantify over three or four distinct points.
 from __future__ import annotations
 
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Callable, Optional
 
 from .entropy import Distribution, entropy
@@ -38,7 +43,7 @@ MEET_TRIPLE = "MeetTriple"
 JOIN_TRIPLE = "JoinTriple"
 MEET_QUAD = "MeetQuad"
 JOIN_QUAD = "JoinQuad"
-_KIND_RANK = {MEET_TRIPLE: 0, JOIN_TRIPLE: 1, MEET_QUAD: 2, JOIN_QUAD: 3}
+_KINDS = (MEET_TRIPLE, JOIN_TRIPLE, MEET_QUAD, JOIN_QUAD)
 
 
 def normalize_property(name: str) -> str:
@@ -64,13 +69,12 @@ def _encode_set(s: PointSet):
 
 def _pairwise_injective(vals: list, op: Callable) -> bool:
     # quad + triple conditions at once: unordered-pair value map is injective
-    seen = set()
+    seen: set = set()
     for i, a in enumerate(vals):
-        for b in vals[i + 1 :]:
-            v = op(a, b)
-            if v in seen:
-                return False
-            seen.add(v)
+        row = set(map(op, repeat(a), vals[i + 1 :]))
+        if len(row) < len(vals) - i - 1 or not seen.isdisjoint(row):
+            return False
+        seen |= row
     return True
 
 
@@ -114,7 +118,7 @@ class Violation:
     colliding_value: Point
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown violation kind {self.kind!r}")
         want = 3 if self.kind in (MEET_TRIPLE, JOIN_TRIPLE) else 4
         if len(self.witnesses) != want:
@@ -130,44 +134,96 @@ class Violation:
         }
 
 
-def _min_triple(vals: list, op: Callable):
+def _min_triple(vals: list, op: Callable, bound: Optional[tuple] = None):
     """First (anchor, b1, b2), b1 < b2, with anchor^b1 = anchor^b2, by anchor
-    and then by b2; None iff the triple condition holds."""
+    and then by b2; None iff the triple condition holds.
+
+    An anchor whose |S| values (op(a, a) = a among them) are distinct holds
+    no triple; only an anchor with fewer distinct values gets the exact
+    scan.  With a bound (the best witness so far) the search stops after
+    the bound's anchor, since a later anchor cannot sort before it.
+    """
+    n = len(vals)
     for i, a in enumerate(vals):
+        if bound is not None and i > bound[0]:
+            return None
+        if len(set(map(op, repeat(a), vals))) == n:
+            continue
         seen: dict = {}
-        for j, b in enumerate(vals):
+        for j, v in enumerate(map(op, repeat(a), vals)):
             if j == i:
                 continue
-            v = op(a, b)
             if v in seen:
                 return (i, seen[v], j), v
             seen[v] = j
     return None
 
 
-def _min_quad(vals: list, op: Callable):
-    """Lexicographically first (a1, a2, a3, a4), pairs disjoint, equal values."""
+def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
+              triple_free: bool = False):
+    """Lexicographically first (a1, a2, a3, a4), pairs disjoint, equal values,
+    or None when there is none that sorts before the bound.
+
+    A quad (p0, p1, q0, q1) sorts before a bound (i, b1, b2) iff
+    (p0, p1, q0) < (i, b1, b2), so only pairs (p0, p1) up to the bound's
+    first two indices can open one, and only their values are counted over
+    all pairs.  When the triple search of the same operation found nothing
+    (triple_free), two pairs with equal values are disjoint: the quad is
+    the first pair whose value occurs twice, with the first later pair of
+    that value, which may start before p1.  Otherwise the pairs of each
+    value that occurs twice are indexed; the first of them with a disjoint
+    partner, found from point degrees, and its first such partner give
+    the quad of that value, and the smallest over all values wins.
+    """
     n = len(vals)
-    by_value: dict = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            by_value.setdefault(op(vals[i], vals[j]), []).append((i, j))
+
+    def rows(start: int = 0):
+        # row p0 holds the values of the pairs (p0, j), j > p0
+        for i in range(start, n):
+            yield list(map(op, repeat(vals[i]), vals[i + 1 :]))
+
+    counts: Counter = Counter()
+    if bound is None:
+        heads = rows()
+        for row in rows():
+            counts.update(row)
+    else:
+        heads = list(islice(rows(), bound[0] + 1))
+        heads[-1] = heads[-1][: max(0, bound[1] - bound[0])]
+        wanted = set(chain.from_iterable(heads))
+        for row in rows():
+            counts.update(filter(wanted.__contains__, row))
+    twice = {v for v, c in counts.items() if c > 1}
+
+    if triple_free:
+        for p0, row in enumerate(heads):
+            if twice.isdisjoint(row):
+                continue
+            v = next(filter(twice.__contains__, row))
+            for q0, later in enumerate(rows(p0 + 1), p0 + 1):
+                if v in later:
+                    quad = (p0, p0 + 1 + row.index(v), q0, q0 + 1 + later.index(v))
+                    return (quad, v) if bound is None or quad < bound else None
+        return None
+
+    index = defaultdict(list)
+    for p0, row in enumerate(rows()):
+        if not twice.isdisjoint(row):
+            for j, v in enumerate(row):
+                if v in twice:
+                    index[v].append((p0, p0 + 1 + j))
     best = None
-    for v, pairs in by_value.items():
-        if len(pairs) < 2:
-            continue
-        # pairs is in lexicographic order; the first pair with a disjoint
-        # partner, together with its first such partner, is minimal here
-        for x, p in enumerate(pairs):
-            q = next(
-                (q for q in pairs[x + 1 :] if p[0] not in q and p[1] not in q), None
-            )
-            if q is not None:
-                cand = ((p[0], p[1], q[0], q[1]), v)
-                if best is None or cand[0] < best[0]:
-                    best = cand
+    for v, pairs in index.items():
+        degree = Counter(chain.from_iterable(pairs))
+        for x, (a, b) in enumerate(pairs):
+            # len(pairs) - degree[a] - degree[b] + 1 pairs avoid a and b; the
+            # first pair that has such a partner has all of them after it
+            if degree[a] + degree[b] <= len(pairs):
+                q = next(q for q in pairs[x + 1 :] if a not in q and b not in q)
+                if best is None or (a, b) + q < best[0]:
+                    best = ((a, b) + q, v)
                 break
-    return best
+    return best if best is None or bound is None or best[0] < bound else None
 
 
 def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
@@ -178,32 +234,34 @@ def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
     the later member a3; a quad (a1, a2, a3, a4) with a1 < a2, a3 < a4 and
     (a1, a2) < (a3, a4) is lexicographically first.  Across kinds the
     smaller witness tuple wins, ties broken by kind (MeetTriple,
-    JoinTriple, MeetQuad, JoinQuad).
+    JoinTriple, MeetQuad, JoinQuad).  Each search gets the best witness
+    so far as its bound and reports only witnesses that may beat it.
     """
     prop = normalize_property(prop)
     pts = sorted(s.points, key=canonical_key)
     ordered = PointSet(s.lattice, tuple(pts))
     vals, decode = _encode_set(ordered)
 
-    searches = [(MEET_TRIPLE, _min_triple, operator.and_)]
-    if prop in (STRONGLY_CANCELLATIVE, RECOVERING):
-        searches.append((JOIN_TRIPLE, _min_triple, operator.or_))
-    if prop == RECOVERING:
-        searches.append((MEET_QUAD, _min_quad, operator.and_))
-        searches.append((JOIN_QUAD, _min_quad, operator.or_))
-
+    ops = (operator.and_,) if prop == CANCELLATIVE else (operator.and_, operator.or_)
+    # (indices, kind, value); the searches run in kind order and a later
+    # kind replaces best only with a smaller witness, so ties keep the earlier
     best = None
-    for kind, finder, op in searches:
-        found = finder(vals, op)
-        if found is None:
-            continue
-        indices, value = found
-        key = (indices, _KIND_RANK[kind])
-        if best is None or key < best[0]:
-            best = (key, kind, indices, value)
+    triple_free = []
+    for kind, op in zip((MEET_TRIPLE, JOIN_TRIPLE), ops):
+        bound = best[0] if best else None
+        found = _min_triple(vals, op, bound)
+        # a search cut short by its bound proves nothing about later anchors
+        triple_free.append(found is None and bound is None)
+        if found is not None and (best is None or found[0] < best[0]):
+            best = (found[0], kind, found[1])
+    if prop == RECOVERING:
+        for kind, op, free in zip((MEET_QUAD, JOIN_QUAD), ops, triple_free):
+            found = _min_quad(vals, op, best[0] if best else None, free)
+            if found is not None:
+                best = (found[0], kind, found[1])
     if best is None:
         return None
-    _, kind, indices, value = best
+    indices, kind, value = best
     return Violation(kind, tuple(pts[i] for i in indices), decode(value))
 
 
@@ -229,13 +287,14 @@ def pair_statistics(s: PointSet, operation: str) -> PairStatistics:
     vals, decode = _encode_set(s)
     counts: Counter = Counter()
     for i, a in enumerate(vals):
-        counts[a] += 1  # the (a, a) pair; meet and join are idempotent
-        for b in vals[i + 1 :]:
-            counts[op(a, b)] += 2
+        counts.update(map(op, repeat(a), vals[i:]))  # the pairs (a, b), b >= a
+    # ordered pairs: (a, b) and (b, a) for a != b, but (a, a) once, and its
+    # value is a since meet and join are idempotent
+    members = set(vals)
+    multiplicity = {decode(v): 2 * c - (v in members) for v, c in counts.items()}
     total = s.size * s.size
-    multiplicity = {decode(v): c for v, c in counts.items()}
     dist = Distribution({p: c / total for p, c in multiplicity.items()})
-    return PairStatistics(operation, multiplicity, max(counts.values()), dist)
+    return PairStatistics(operation, multiplicity, max(multiplicity.values()), dist)
 
 
 def anchored_entropy(s: PointSet, v: Point, operation: str) -> float:

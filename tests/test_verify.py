@@ -7,8 +7,10 @@ from latsets import (
     ChainProductLattice,
     Point,
     PointSet,
+    Violation,
     anchored_entropy,
     block_construction_bn,
+    canonical_key,
     diagonal_construction,
     find_violation,
     is_cancellative,
@@ -16,6 +18,7 @@ from latsets import (
     is_strongly_cancellative,
     normalize_property,
     pair_statistics,
+    power_construction,
     satisfies,
     subset_encode,
 )
@@ -75,6 +78,32 @@ def test_find_violation_quad_block4():
         "witnesses": [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]],
         "value": [0, 0, 0, 0],
     }
+
+
+def _indices(s, v):
+    pts = sorted(s.points, key=canonical_key)
+    return tuple(pts.index(w) for w in v.witnesses)
+
+
+# benchmark-scale witnesses; the expected values come from the earlier
+# per-pair-index scan
+def test_find_violation_block_bn20():
+    s = block_construction_bn(20)
+    assert find_violation(s, "strongly_cancellative") is None
+    v = find_violation(s, "recovering")
+    tail = [(0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)]
+    assert v == Violation("MeetQuad", tuple(Point((0, 1) * 8 + t) for t in tail),
+                          Point((0, 1) * 8 + (0, 0, 0, 0)))
+    assert _indices(s, v) == (0, 3, 1, 2)
+
+
+def test_find_violation_power_4_8():
+    s = power_construction(4, 8)
+    v = find_violation(s, "recovering")
+    tail = [(0, 3, 0, 3), (1, 2, 1, 2), (0, 3, 1, 2), (1, 2, 0, 3)]
+    assert v == Violation("MeetQuad", tuple(Point((0, 3, 0, 3) + t) for t in tail),
+                          Point((0, 3, 0, 3, 0, 2, 0, 2)))
+    assert _indices(s, v) == (0, 5, 1, 4)
 
 
 def test_find_violation_absent():

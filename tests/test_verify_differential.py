@@ -55,6 +55,25 @@ def families(draw, max_points: int = 120):
 # two disjoint partners for the first pair: the earlier one is the witness
 @example(PointSet.from_coords(ChainProductLattice((2, 4, 4)), [
     (0, 3, 0), (1, 0, 0), (1, 1, 2), (1, 3, 1), (1, 3, 2)]))
+# JoinTriple (0,1,2) beats MeetTriple (0,1,3) at the same anchor
+@example(PointSet.from_coords(ChainProductLattice((3, 3)), [
+    (0, 1), (1, 0), (1, 1), (2, 0)]))
+# the JoinTriple search stops after anchor 0, behind the MeetTriple
+# (0,2,3), so the JoinQuad search may not take the joins as triple-free:
+# the JoinTriple (2,0,1) shares a point between two pairs of equal join
+@example(PointSet.from_coords(ChainProductLattice((4, 2)), [
+    (0, 1), (1, 1), (2, 0), (3, 0)]))
+# a chain of 16 plus 5 points: triples at most anchors, and the MeetQuad
+# (0,2,1,4), whose q0 is below p1, beats the MeetTriple (0,2,4)
+@example(PointSet.from_coords(ChainProductLattice((7, 7, 7)), [
+    (2, 1, 0), (3, 1, 0), (3, 1, 1), (4, 1, 1), (4, 2, 1), (4, 2, 2), (4, 2, 3),
+    (4, 3, 3), (5, 3, 3), (5, 4, 3), (6, 4, 3), (6, 5, 3), (6, 5, 4), (6, 6, 4),
+    (6, 6, 5), (6, 6, 6), (1, 5, 4), (2, 3, 0), (1, 2, 5), (4, 5, 4), (6, 3, 2)]))
+# strongly cancellative, three complementary pairs meet in 0: the first
+# pair's earlier partner is the witness
+@example(PointSet.from_coords(ChainProductLattice.boolean(6), [
+    (0, 0, 0, 1, 1, 1), (0, 1, 0, 0, 1, 1), (0, 1, 1, 0, 1, 0),
+    (1, 0, 0, 1, 0, 1), (1, 0, 1, 1, 0, 0), (1, 1, 1, 0, 0, 0)]))
 # {1,2},{3,4} and {1,3},{2,4} share meet and join: MeetQuad wins the tie
 @example(PointSet.from_coords(ChainProductLattice.boolean(4), [
     (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]))
