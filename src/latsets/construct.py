@@ -7,7 +7,8 @@ and the chain-power family of size l^floor(k/2) obtained by composing the
 antidiagonal with itself.
 
 All outputs are sorted in canonical order so repeated runs are
-byte-identical.
+byte-identical.  A family of more than DEFAULT_ENUMERATION_CAP (2^24)
+points is refused before any of it is built.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .lattice import (
+    DEFAULT_ENUMERATION_CAP,
     ChainProductLattice,
     Point,
     PointSet,
@@ -22,6 +24,17 @@ from .lattice import (
     is_antichain,
 )
 from .verify import is_strongly_cancellative
+
+
+def _check_size(base: int, exponent: int) -> None:
+    """Reject a family of base**exponent points above DEFAULT_ENUMERATION_CAP
+    before it is built.  The exponent is clipped so that no huge power is
+    computed: base >= 2 to the cap's bit length already exceeds the cap."""
+    cap = DEFAULT_ENUMERATION_CAP
+    if base ** min(exponent, cap.bit_length()) > cap:
+        raise ValueError(
+            f"construction too large: {base}^{exponent} points exceeds cap {cap}"
+        )
 
 
 def block_construction_bn(n: int) -> PointSet:
@@ -34,6 +47,7 @@ def block_construction_bn(n: int) -> PointSet:
     """
     if n < 2:
         raise ValueError(f"block construction needs n >= 2, got {n}")
+    _check_size(2, n // 2)
     lattice = ChainProductLattice.boolean(n)
     blocks = n // 2
     points = []
@@ -54,8 +68,9 @@ def diagonal_construction(l1: int, l2: int) -> PointSet:
     """
     if l1 < 1 or l2 < 1:
         raise ValueError(f"chain lengths must be >= 1, got ({l1}, {l2})")
-    lattice = ChainProductLattice((l1, l2))
     m = min(l1, l2)
+    _check_size(m, 1)
+    lattice = ChainProductLattice((l1, l2))
     points = tuple(Point((x, m - 1 - x)) for x in range(m))
     return PointSet(lattice, points)
 
@@ -76,11 +91,12 @@ def product_composition(base: PointSet, k: int) -> PointSet:
     k1 = base.lattice.k
     if k < k1:
         raise ValueError(f"target dimension {k} is below the base dimension {k1}")
+    s = k // k1
+    _check_size(base.size, s)
     if not is_antichain(base):
         raise ValueError("composition base must be an antichain")
     if not is_strongly_cancellative(base):
         raise ValueError("composition base must be strongly cancellative")
-    s = k // k1
     tail = (0,) * (k - s * k1)
     points = []
     for combo in itertools.product(base.points, repeat=s):
@@ -96,4 +112,5 @@ def power_construction(l: int, k: int) -> PointSet:
         raise ValueError(f"chain length must be >= 1, got {l}")
     if k < 2:
         raise ValueError(f"power construction needs k >= 2, got {k}")
+    _check_size(l, k // 2)
     return product_composition(diagonal_construction(l, l), k)

@@ -32,7 +32,6 @@ from typing import Callable, Optional
 
 from .bounds import applicable_bounds
 from .lattice import (
-    DEFAULT_ENUMERATION_CAP,
     ChainProductLattice,
     PointSet,
     enumerate_lattice,
@@ -66,7 +65,6 @@ class SearchConfig:
     thread_count: int = 1
     node_budget: Optional[int] = DEFAULT_NODE_BUDGET
     seed_set: Optional[PointSet] = None
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     progress_interval: int = 0
     progress: Optional[Callable[[int, int], None]] = None
 
@@ -174,70 +172,30 @@ class _State:
                 anchor_vals.remove(v)
 
 
-def _seed_indices(config: SearchConfig, points) -> tuple[int, ...]:
-    if config.seed_set is None:
-        return ()
+def _setup(config: SearchConfig):
+    """The normalized property, the points in canonical order, their masks
+    and the sorted indices of the verified seed (empty without one)."""
+    prop = normalize_property(config.property_name)
+    points = enumerate_lattice(config.lattice)
+    encode, _ = mask_codec(config.lattice)
+    vals = [encode(p) for p in points]
     seed = config.seed_set
+    if seed is None:
+        return prop, points, vals, ()
     if seed.lattice != config.lattice:
         raise ValueError("seed set lives on a different lattice")
-    if not satisfies(seed, config.property_name):
+    if not satisfies(seed, prop):
         raise ValueError("seed set does not satisfy the property")
     index_of = {p: i for i, p in enumerate(points)}
-    return tuple(sorted(index_of[p] for p in seed.points))
+    return prop, points, vals, tuple(sorted(index_of[p] for p in seed.points))
 
 
-def _encoded(lattice: ChainProductLattice, points) -> list[int]:
-    encode, _ = mask_codec(lattice)
-    return [encode(p) for p in points]
-
-
-class _Search:
-    """Depth-first search for a family of a given size, pruned by the
-    suffix optima c (c[j] = largest family among points j..n-1).
-
-    Every successful push is one node; the node budget is checked after
-    each, and progress is reported every progress_interval nodes.
-    """
-
-    def __init__(self, vals, state: _State, c: list, budget=None,
-                 progress_interval: int = 0, progress=None, best_size: int = 0):
-        self.vals = vals
-        self.state = state
-        self.c = c
-        self.chosen: list[int] = []
-        self.nodes = 0
-        self.budget = budget
-        self.stopped = False
-        self.interval = progress_interval if progress is not None else 0
-        self.progress = progress
-        self.best_size = best_size  # incumbent size, for progress reports
-
-    def first_of_size(self, start: int, target: int) -> Optional[tuple]:
-        """Canonically first way to extend the chosen points to `target`
-        points from indices start.., or None (also when the budget ran out).
-        The state is restored either way."""
-        vals, c, state, chosen = self.vals, self.c, self.state, self.chosen
-        size = len(chosen)
-        for j in range(start, len(vals)):
-            if size + c[j] < target:
-                return None  # c is non-increasing: no later j can do better
-            if not state.try_push(vals[j]):
-                continue
-            chosen.append(j)
-            self.nodes += 1
-            if self.nodes == self.budget:
-                self.stopped = True
-            if self.interval and self.nodes % self.interval == 0:
-                self.progress(self.nodes, self.best_size)
-            if size + 1 == target:
-                found = tuple(chosen)
-            else:
-                found = None if self.stopped else self.first_of_size(j + 1, target)
-            state.pop()
-            chosen.pop()
-            if found is not None or self.stopped:
-                return found
-        return None
+def _result(config: SearchConfig, prop: str, points, indices, proven: bool,
+            nodes: int) -> SearchResult:
+    best_set = PointSet(config.lattice, tuple(points[i] for i in indices))
+    if not satisfies(best_set, prop):  # pragma: no cover - mandatory re-verification
+        raise RuntimeError("internal error: search produced an invalid family")
+    return SearchResult(best_set, len(indices), proven, nodes)
 
 
 def exact_max(config: SearchConfig) -> SearchResult:
@@ -249,75 +207,85 @@ def exact_max(config: SearchConfig) -> SearchResult:
     ties) and the family found by the last successful stage.  The witness
     is re-verified before returning.
     """
-    prop = normalize_property(config.property_name)
-    points = enumerate_lattice(config.lattice, config.enumeration_cap)
-    vals = _encoded(config.lattice, points)
-    seed = _seed_indices(config, points)
-    n = len(points)
-    c = [0] * (n + 1)
-    search = _Search(vals, _State(prop), c, config.node_budget,
-                     config.progress_interval, config.progress, len(seed))
-    best_indices = seed
+    prop, points, vals, best_indices = _setup(config)
+    n = len(vals)
+    c = [0] * (n + 1)  # c[j] = largest family among points j..n-1
+    state = _State(prop)
+    chosen: list[int] = []
+    nodes = 0
+    budget = config.node_budget
+    stopped = False
+    progress = config.progress
+    interval = config.progress_interval if progress is not None else 0
+
+    def first_of_size(start: int, target: int) -> Optional[tuple]:
+        """Canonically first way to extend the chosen points to `target`
+        points from indices start.., or None (also when the budget ran out).
+        The state is restored either way.  Every successful push is one
+        node; the budget is checked after each."""
+        nonlocal nodes, stopped
+        size = len(chosen)
+        for j in range(start, n):
+            if size + c[j] < target:
+                return None  # c is non-increasing: no later j can do better
+            if not state.try_push(vals[j]):
+                continue
+            chosen.append(j)
+            nodes += 1
+            if nodes == budget:
+                stopped = True
+            if interval and nodes % interval == 0:
+                progress(nodes, len(best_indices))
+            if size + 1 == target:
+                found = tuple(chosen)
+            else:
+                found = None if stopped else first_of_size(j + 1, target)
+            state.pop()
+            chosen.pop()
+            if found is not None or stopped:
+                return found
+        return None
+
     for i in range(n - 1, -1, -1):
         # stage i: is there a family of c[i+1]+1 points whose first point is i?
         # c[i] is set first so that point i passes the size + c[j] test.
         c[i] = c[i + 1] + 1
-        found = search.first_of_size(i, c[i])
+        found = first_of_size(i, c[i])
         if found is None:
             c[i] -= 1
         elif len(found) > len(best_indices):
             best_indices = found
-            search.best_size = len(found)
-        if search.stopped:
+        if stopped:
             break
 
-    proven = not search.stopped
-    nodes = search.nodes
+    proven = not stopped
+    stage_nodes = nodes
     if proven:
-        search.budget = None  # the rerun is outside the budget and nodes_explored
-        best_indices = search.first_of_size(0, c[0])
+        budget = None  # the rerun is outside the budget and nodes_explored
+        best_indices = first_of_size(0, c[0])
         if best_indices is None:  # pragma: no cover - stage 0 proves one exists
             raise RuntimeError("internal error: lost the optimal family")
-
-    best_set = PointSet(config.lattice, tuple(points[i] for i in best_indices))
-    if not satisfies(best_set, prop):  # pragma: no cover - mandatory re-verification
-        raise RuntimeError("internal error: search produced an invalid family")
-    return SearchResult(best_set, len(best_indices), proven, nodes)
+    return _result(config, prop, points, best_indices, proven, stage_nodes)
 
 
 def greedy(config: SearchConfig) -> SearchResult:
     """Scan points in canonical order, keeping each one that preserves the
     property.  proven_optimal is True only when the result size meets an
     applicable upper bound, which certifies it as a true maximum."""
-    prop = normalize_property(config.property_name)
-    points = enumerate_lattice(config.lattice, config.enumeration_cap)
-    vals = _encoded(config.lattice, points)
-    seed = set(_seed_indices(config, points))
-
+    prop, points, vals, seed = _setup(config)
     state = _State(prop)
-    chosen: list[int] = []
-    for i in sorted(seed):
+    for i in seed:
         if not state.try_push(vals[i]):  # pragma: no cover - seed was verified
             raise RuntimeError("internal error: verified seed failed to load")
-        chosen.append(i)
-    nodes = 0
-    for c in range(len(points)):
-        if c in seed:
-            continue
-        nodes += 1
-        if state.try_push(vals[c]):
-            chosen.append(c)
-
-    best_set = PointSet(config.lattice, tuple(points[i] for i in sorted(chosen)))
-    if not satisfies(best_set, prop):  # pragma: no cover - mandatory re-verification
-        raise RuntimeError("internal error: search produced an invalid family")
-    return SearchResult(best_set, len(chosen), _proved_by_bound(config, len(chosen)), nodes)
-
-
-def _proved_by_bound(config: SearchConfig, size: int) -> bool:
+    chosen = set(seed)
+    for i in range(len(points)):  # i is in chosen only as a seed point
+        if i not in chosen and state.try_push(vals[i]):
+            chosen.add(i)
     # size + 1 > bound means no strictly larger family can exist
     reports = applicable_bounds(config.lattice, config.property_name)
-    return any(size + 1 > r.upper_bound for r in reports)
+    proven = any(len(chosen) + 1 > r.upper_bound for r in reports)
+    return _result(config, prop, points, sorted(chosen), proven,
+                   len(points) - len(seed))
 
 
 def run_search(config: SearchConfig) -> SearchResult:

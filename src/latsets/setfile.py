@@ -46,19 +46,23 @@ def point_set_from_json_dict(data: dict) -> PointSet:
 
     points = data.get("points")
     subsets = data.get("subsets")
-    if points is None and subsets is None:
-        raise ValueError('set file needs a "points" list')
+    for name, field in (("points", points), ("subsets", subsets)):
+        if field is not None and not (
+            isinstance(field, list) and all(isinstance(v, list) for v in field)
+        ):
+            raise ValueError(f'set file "{name}" must be a list of lists')
     if points is None:
+        if subsets is None:
+            raise ValueError('set file needs a "points" list')
         if not lattice.is_boolean:
             raise ValueError('"subsets" without "points" needs a Boolean lattice')
-        points = [list(subset_encode(sub, lattice.k).coords) for sub in subsets]
-    elif subsets is not None and lattice.is_boolean:
-        from_subsets = [list(subset_encode(sub, lattice.k).coords) for sub in subsets]
-        if sorted(from_subsets) != sorted(points):
+        return PointSet(lattice, tuple(subset_encode(sub, lattice.k) for sub in subsets))
+    family = PointSet(lattice, tuple(Point(tuple(c)) for c in points))
+    if subsets is not None and lattice.is_boolean:
+        from_subsets = sorted(subset_encode(sub, lattice.k).coords for sub in subsets)
+        if from_subsets != sorted(p.coords for p in family):
             warnings.warn('set file "subsets" disagrees with "points"; using points')
-    if not isinstance(points, list):
-        raise ValueError('set file "points" must be a list of coordinate vectors')
-    return PointSet(lattice, tuple(Point(tuple(c)) for c in points))
+    return family
 
 
 def dumps_set_file(s: PointSet) -> str:

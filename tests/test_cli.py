@@ -59,6 +59,8 @@ def test_construct_missing_params(capsys):
     assert "needs --n" in err
     code, _, err = run_cli(capsys, "construct", "--family", "block-bn", "--n", "1")
     assert code == 1
+    code, out, err = run_cli(capsys, "construct", "--family", "block-bn", "--n", "64")
+    assert code == 1 and out == "" and "too large" in err
 
 
 def test_construct_deterministic_bytes(capsys, tmp_path):
@@ -86,6 +88,14 @@ def test_verify_bad_files(capsys, tmp_path):
                            ' "points": [[0, 0]]}', encoding="utf-8")
     code, out, err = run_cli(capsys, "verify", str(bool_length), "--property", "recovering")
     assert code == 1 and out == "" and "error:" in err
+
+    lattice = '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, '
+    for fields in ['"points": [5]', '"points": [null]', '"subsets": [3]',
+                   '"subsets": 5', '"points": 7, "subsets": [[1]]',
+                   '"points": [[0, "a"], [0, 1]], "subsets": [[1]]']:
+        bad.write_text(lattice + fields + "}", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(bad), "--property", "recovering")
+        assert code == 1 and out == "" and "error:" in err, fields
 
 
 def test_usage_errors_exit_1(capsys):
@@ -209,6 +219,8 @@ def test_entropy_report(capsys, tmp_path):
 
     code, _, _ = run_cli(capsys, "entropy", str(diag), "--anchor", "9,9")
     assert code == 1
+    code, _, err = run_cli(capsys, "entropy", str(diag), "--anchor", "1,x")
+    assert code == 1 and "bad anchor" in err
 
 
 def test_entropy_singleton(capsys, tmp_path):
@@ -242,6 +254,12 @@ def test_table_sc_bn(capsys):
     assert lines[-1] == "8,16,16,yes"
     assert len(lines) == 8
 
+    code, out, _ = run_cli(capsys, "table", "--family", "sc-bn", "--n", "4")
+    assert code == 0 and out.splitlines()[1:] == ["4,4,4,yes"]
+    for bad in ("2..x", "x"):
+        code, _, err = run_cli(capsys, "table", "--family", "sc-bn", "--n", bad)
+        assert code == 1 and "bad range" in err
+
 
 def test_table_dlk(capsys):
     code, out, _ = run_cli(capsys, "table", "--family", "dlk", "--l", "3",
@@ -266,6 +284,7 @@ def test_table_empty_range(capsys):
 
 def test_table_missing_flags(capsys):
     assert main(["table", "--family", "dlk"]) == 1
+    assert main(["table", "--family", "sc-bn"]) == 1
     capsys.readouterr()
 
 
@@ -308,3 +327,15 @@ def test_default_threads_env(monkeypatch):
     assert _default_threads() == 4
     monkeypatch.setenv("LATSETS_THREADS", "junk")
     assert _default_threads() == 1
+
+
+def test_huge_bound_parameters_exit_1(capsys):
+    # the bounds overflow a float; they are errors, not tracebacks
+    for argv in (
+        ["bounds", "--lattice", "b:2100", "--property", "strongly-cancellative"],
+        ["bounds", "--lattice", "b:3000", "--property", "recovering"],
+        ["bounds", "--lattice", "d:3^2000", "--property", "strongly-cancellative"],
+        ["table", "--family", "dlk", "--l", "3", "--k", "2000"],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.startswith("error:"), argv

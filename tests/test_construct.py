@@ -113,3 +113,15 @@ def test_power_construction_sizes():
         power_construction(3, 1)
     with pytest.raises(ValueError):
         power_construction(0, 4)
+
+
+def test_constructions_refuse_families_above_the_cap():
+    # each family would have just over 2^24 points; none may be built
+    with pytest.raises(ValueError, match="too large"):
+        block_construction_bn(50)  # 2^25
+    with pytest.raises(ValueError, match="too large"):
+        power_construction(10, 16)  # 10^8
+    with pytest.raises(ValueError, match="too large"):
+        diagonal_construction(2**25, 2**25)
+    with pytest.raises(ValueError, match="too large"):
+        product_composition(diagonal_construction(2, 2), 50)  # 2^25

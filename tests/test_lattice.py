@@ -95,6 +95,10 @@ def test_subset_codecs():
         subset_encode({5}, 4)
     with pytest.raises(ValueError, match="True"):
         subset_encode([True], 2)  # a JSON true is not the element 1
+    with pytest.raises(ValueError, match="duplicate"):
+        subset_encode([2, 2], 3)
+    with pytest.raises(ValueError, match="n >= 1"):
+        subset_encode([], 0)
     with pytest.raises(ValueError, match="Boolean"):
         subset_decode(P(0, 2))
 

@@ -222,12 +222,14 @@ def test_incremental_state_matches_verifier():
     # random push/pop walk: acceptance by the incremental state must equal
     # re-verifying the would-be family from scratch
     from latsets import PointSet, enumerate_lattice
-    from latsets.search import _State, _encoded
+    from latsets.lattice import mask_codec
+    from latsets.search import _State
 
     rng = random.Random(31415)
     for lattice in (ChainProductLattice.boolean(4), ChainProductLattice((3, 3, 2))):
         points = enumerate_lattice(lattice)
-        vals = _encoded(lattice, points)
+        encode, _ = mask_codec(lattice)
+        vals = [encode(p) for p in points]
         for prop in (CANC, SC, REC):
             state = _State(prop)
             members = []

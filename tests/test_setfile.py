@@ -81,6 +81,15 @@ def test_parse_errors():
         '{"lattice": {"kind": "chain_product", "lengths": [true, 3]}, "points": [[0, 0]]}',
         '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "points": [[false, 1]]}',
         '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "subsets": [[true]]}',
+        '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "points": [5]}',
+        '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "points": [null]}',
+        '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "points": {"a": 1}}',
+        '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "subsets": [3]}',
+        '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "subsets": 5}',
+        '{"lattice": {"kind": "chain_product", "lengths": [2, 2]}, "points": 7,'
+        ' "subsets": [[1]]}',
+        '{"lattice": {"kind": "chain_product", "lengths": [2, 2]},'
+        ' "points": [[0, "a"], [0, 1]], "subsets": [[1]]}',
         "not json",
     ]
     for text in bad_files:
