@@ -3,7 +3,7 @@
 Upper bounds implemented:
   * recovering families on B_n:          sqrt(3) * 2^(0.4392 n)
   * strongly cancellative on B_n:        2^floor(n/2)          (tight)
-  * strongly cancellative on D_{l1,l2}:  min(l1, l2)           (tight)
+  * strongly cancellative on D_{l1,l2}:  min(l1, l2)           (tight; l1, l2 >= 2)
   * strongly cancellative on D_l^k:      (2l)^(k/2) + k(l-1)/2 + 1
 
 The recovering exponent comes from a two-case estimate of
@@ -17,6 +17,7 @@ inequality direction is asserted anywhere.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -93,11 +94,21 @@ def max_coordinate_entropy_term(
 # Bound formulas
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _overflow_names(params: str):
+    """Turn a float overflow into a ValueError that names the parameters."""
+    try:
+        yield
+    except OverflowError:
+        raise ValueError(f"bound overflows a float at {params}") from None
+
+
 def bound_recovering_bn(n: int) -> float:
     """sqrt(3) * 2^(0.4392 n), valid for any recovering family on B_n."""
     if n < 0:
         raise ValueError(f"needs n >= 0, got {n}")
-    return math.sqrt(3.0) * 2.0 ** (0.4392 * n)
+    with _overflow_names(f"n = {n}"):
+        return math.sqrt(3.0) * 2.0 ** (0.4392 * n)
 
 
 def bound_sc_bn(n: int) -> int:
@@ -112,9 +123,13 @@ def bound_sc_bn(n: int) -> int:
 
 
 def bound_d2(l1: int, l2: int) -> int:
-    """min(l1, l2), tight for strongly cancellative sets on two chains."""
-    if l1 < 1 or l2 < 1:
-        raise ValueError(f"chain lengths must be >= 1, got ({l1}, {l2})")
+    """min(l1, l2), tight for strongly cancellative sets on two chains.
+
+    Restricted to l1, l2 >= 2: with a chain of length 1 the lattice is a
+    single chain, where any two points form a strongly cancellative family.
+    """
+    if l1 < 2 or l2 < 2:
+        raise ValueError(f"chain lengths must be >= 2, got ({l1}, {l2})")
     return min(l1, l2)
 
 
@@ -122,7 +137,8 @@ def bound_dlk(l: int, k: int) -> float:
     """(2l)^(k/2) + k(l-1)/2 + 1 for strongly cancellative sets on D_l^k."""
     if l < 1 or k < 1:
         raise ValueError(f"needs l >= 1 and k >= 1, got ({l}, {k})")
-    return (2.0 * l) ** (k / 2.0) + k * (l - 1) / 2.0 + 1.0
+    with _overflow_names(f"l = {l}, k = {k}"):
+        return (2.0 * l) ** (k / 2.0) + k * (l - 1) / 2.0 + 1.0
 
 
 @dataclass(frozen=True)
@@ -175,10 +191,10 @@ def applicable_bounds(lattice: ChainProductLattice, prop: str) -> list[BoundRepo
     if prop == STRONGLY_CANCELLATIVE:
         if lattice.is_boolean and lattice.k >= 2:
             n = lattice.k
-            reports.append(
-                BoundReport(desc, prop, 1 << (n // 2), float(bound_sc_bn(n)), "2^floor(n/2)")
-            )
-        if lattice.k == 2:
+            with _overflow_names(f"n = {n}"):
+                bound = float(bound_sc_bn(n))
+            reports.append(BoundReport(desc, prop, 1 << (n // 2), bound, "2^floor(n/2)"))
+        if lattice.k == 2 and min(lattice.lengths) >= 2:
             l1, l2 = lattice.lengths
             reports.append(
                 BoundReport(desc, prop, min(l1, l2), float(bound_d2(l1, l2)), "min(l1,l2)")

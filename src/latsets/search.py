@@ -9,9 +9,19 @@ in canonical order, so every family is visited at most once.  All three
 properties are hereditary: every subfamily of a valid family is valid.
 So c[i], the largest family among the points i..n-1, bounds what the
 points from i on can add to any family.  Stage i = n-1, ..., 0 asks only
-whether some family of c[i+1]+1 points starts at point i, pruning a
-candidate j when size + c[j] falls short of that target and stopping at
+whether some family of c[i+1]+1 points starts at point i, and stops at
 the first hit; c[i] is then c[i+1] or c[i+1]+1, and c[0] is the optimum.
+
+Heredity also means that a point which cannot join a family cannot join
+any larger one.  So each node carries Ostergard's candidate set U: the
+ascending indices after its last point that still fit its family.  A
+child's list is the rest of its parent's list, filtered by the child's
+state.  A node stops when size + c[j] or size + |U from j on| falls short
+of the target.
+
+The bounds of the bounds module cap every family: no stage can push c
+above the floor of the smallest applicable bound.  Once some c[i] reaches
+it, c[k] = c[i] for every k < i, and the earlier stages are skipped.
 
 Points are thermometer masks (lattice.mask_codec), so meet and join are
 & and | on every lattice.  Feasibility of adding a point is incremental:
@@ -27,7 +37,9 @@ validated but does not change the search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import contains
 from typing import Callable, Optional
 
 from .bounds import applicable_bounds
@@ -111,47 +123,52 @@ class _State:
             )
         self._trail: list = []
 
-    def try_push(self, val: int) -> bool:
-        """Add val if the family stays feasible; no mutation on failure."""
+    def fits(self, val: int) -> bool:
+        """Whether adding val keeps the family feasible; changes nothing."""
         members = self.members
         new_meets = [val & b for b in members]
         if len(set(new_meets)) != len(new_meets):
             return False
         if self.prop == RECOVERING:
-            pair_meets = self.pair_meets
-            if any(v in pair_meets for v in new_meets):
+            if not self.pair_meets.isdisjoint(new_meets):
                 return False
             new_joins = [val | b for b in members]
-            pair_joins = self.pair_joins
-            if len(set(new_joins)) != len(new_joins) or any(
-                v in pair_joins for v in new_joins
-            ):
-                return False
-            pair_meets.update(new_meets)
-            pair_joins.update(new_joins)
-            members.append(val)
-            self._trail.append((new_meets, new_joins))
+            return (len(set(new_joins)) == len(new_joins)
+                    and self.pair_joins.isdisjoint(new_joins))
+        if any(map(contains, self.meet_sets, new_meets)):
+            return False
+        if self.join_sets is None:
             return True
-        for v, anchor_vals in zip(new_meets, self.meet_sets):
-            if v in anchor_vals:
-                return False
+        new_joins = [val | b for b in members]
+        return len(set(new_joins)) == len(new_joins) and not any(
+            map(contains, self.join_sets, new_joins))
+
+    def push(self, val: int) -> None:
+        """Add val, which must fit; pop() undoes it."""
+        members = self.members
+        new_meets = [val & b for b in members]
         new_joins = None
-        if self.join_sets is not None:
+        if self.prop == RECOVERING:
             new_joins = [val | b for b in members]
-            if len(set(new_joins)) != len(new_joins):
-                return False
-            for v, anchor_vals in zip(new_joins, self.join_sets):
-                if v in anchor_vals:
-                    return False
-        for v, anchor_vals in zip(new_meets, self.meet_sets):
-            anchor_vals.add(v)
-        self.meet_sets.append(set(new_meets))
-        if new_joins is not None:
-            for v, anchor_vals in zip(new_joins, self.join_sets):
+            self.pair_meets.update(new_meets)
+            self.pair_joins.update(new_joins)
+        else:
+            for v, anchor_vals in zip(new_meets, self.meet_sets):
                 anchor_vals.add(v)
-            self.join_sets.append(set(new_joins))
+            self.meet_sets.append(set(new_meets))
+            if self.join_sets is not None:
+                new_joins = [val | b for b in members]
+                for v, anchor_vals in zip(new_joins, self.join_sets):
+                    anchor_vals.add(v)
+                self.join_sets.append(set(new_joins))
         members.append(val)
         self._trail.append((new_meets, new_joins))
+
+    def try_push(self, val: int) -> bool:
+        """Add val if the family stays feasible; no mutation on failure."""
+        if not self.fits(val):
+            return False
+        self.push(val)
         return True
 
     def pop(self) -> None:
@@ -201,16 +218,18 @@ def _result(config: SearchConfig, prop: str, points, indices, proven: bool,
 def exact_max(config: SearchConfig) -> SearchResult:
     """Maximum family satisfying the property, by Russian-doll search.
 
-    proven_optimal is True exactly when the stages finished before the
-    node budget ran out; the returned witness is then the canonically first family
-    of maximum size.  Otherwise it is the larger of the seed (which wins
-    ties) and the family found by the last successful stage.  The witness
-    is re-verified before returning.
+    proven_optimal is True exactly when the stages finished, or met the
+    smallest applicable bound, before the node budget ran out; the returned
+    witness is then the canonically first family of maximum size.
+    Otherwise it is the larger of the seed (which wins ties) and the family
+    found by the last successful stage.  The witness is re-verified before
+    returning.
     """
     prop, points, vals, best_indices = _setup(config)
     n = len(vals)
     c = [0] * (n + 1)  # c[j] = largest family among points j..n-1
     state = _State(prop)
+    fits = state.fits
     chosen: list[int] = []
     nodes = 0
     budget = config.node_budget
@@ -218,18 +237,18 @@ def exact_max(config: SearchConfig) -> SearchResult:
     progress = config.progress
     interval = config.progress_interval if progress is not None else 0
 
-    def first_of_size(start: int, target: int) -> Optional[tuple]:
+    def first_of_size(cands, target: int) -> Optional[tuple]:
         """Canonically first way to extend the chosen points to `target`
-        points from indices start.., or None (also when the budget ran out).
-        The state is restored either way.  Every successful push is one
-        node; the budget is checked after each."""
+        points from cands, the ascending indices that still fit, or None
+        (also when the budget ran out).  The state is restored either way.
+        Every push is one node; the budget is checked after each."""
         nonlocal nodes, stopped
         size = len(chosen)
-        for j in range(start, n):
-            if size + c[j] < target:
-                return None  # c is non-increasing: no later j can do better
-            if not state.try_push(vals[j]):
-                continue
+        m = len(cands)
+        for p, j in enumerate(cands):
+            if size + c[j] < target or size + (m - p) < target:
+                return None  # both only shrink as j grows: no later j can do better
+            state.push(vals[j])
             chosen.append(j)
             nodes += 1
             if nodes == budget:
@@ -238,31 +257,45 @@ def exact_max(config: SearchConfig) -> SearchResult:
                 progress(nodes, len(best_indices))
             if size + 1 == target:
                 found = tuple(chosen)
+            elif stopped:
+                found = None
             else:
-                found = None if stopped else first_of_size(j + 1, target)
+                rest = [k for k in cands[p + 1:] if fits(vals[k])]
+                found = (None if size + 1 + len(rest) < target
+                         else first_of_size(rest, target))
             state.pop()
             chosen.pop()
             if found is not None or stopped:
                 return found
         return None
 
+    # no family is larger than the smallest applicable upper bound
+    try:
+        reports = applicable_bounds(config.lattice, prop)
+    except ValueError:  # a bound beyond float range (d:1^k, huge k) caps nothing
+        reports = []
+    cap = min((math.floor(r.upper_bound) for r in reports), default=n)
     for i in range(n - 1, -1, -1):
         # stage i: is there a family of c[i+1]+1 points whose first point is i?
         # c[i] is set first so that point i passes the size + c[j] test.
         c[i] = c[i + 1] + 1
-        found = first_of_size(i, c[i])
+        found = first_of_size(range(i, n), c[i])
         if found is None:
             c[i] -= 1
         elif len(found) > len(best_indices):
             best_indices = found
         if stopped:
             break
+        if c[i] >= cap:
+            # c[0] <= cap, so every earlier stage would end at c[i] too
+            c[:i] = [c[i]] * i
+            break
 
     proven = not stopped
     stage_nodes = nodes
     if proven:
         budget = None  # the rerun is outside the budget and nodes_explored
-        best_indices = first_of_size(0, c[0])
+        best_indices = first_of_size(range(n), c[0])
         if best_indices is None:  # pragma: no cover - stage 0 proves one exists
             raise RuntimeError("internal error: lost the optimal family")
     return _result(config, prop, points, best_indices, proven, stage_nodes)

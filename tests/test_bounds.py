@@ -74,8 +74,11 @@ def test_bound_sc_bn():
 
 def test_bound_d2():
     assert bound_d2(3, 5) == 3
-    assert bound_d2(1, 9) == 1
     assert bound_d2(4, 4) == 4
+    # with a chain of length 1 the lattice is a chain, where any two points
+    # form a strongly cancellative family: the bound does not apply
+    with pytest.raises(ValueError):
+        bound_d2(1, 9)
     with pytest.raises(ValueError):
         bound_d2(0, 3)
 
@@ -132,6 +135,7 @@ def test_applicable_bounds():
 
     assert applicable_bounds(parse_lattice_spec("b:10"), "cancellative") == []
     assert applicable_bounds(parse_lattice_spec("d:3,4,5"), "recovering") == []
+    assert applicable_bounds(parse_lattice_spec("d:5,1"), "strongly-cancellative") == []
 
 
 def test_empirical_recovering_entropy_example():

@@ -331,11 +331,14 @@ def test_default_threads_env(monkeypatch):
 
 def test_huge_bound_parameters_exit_1(capsys):
     # the bounds overflow a float; they are errors, not tracebacks
-    for argv in (
-        ["bounds", "--lattice", "b:2100", "--property", "strongly-cancellative"],
-        ["bounds", "--lattice", "b:3000", "--property", "recovering"],
-        ["bounds", "--lattice", "d:3^2000", "--property", "strongly-cancellative"],
-        ["table", "--family", "dlk", "--l", "3", "--k", "2000"],
+    for argv, names in (
+        (["bounds", "--lattice", "b:2100", "--property", "strongly-cancellative"],
+         "n = 2100"),
+        (["bounds", "--lattice", "b:3000", "--property", "recovering"], "n = 3000"),
+        (["bounds", "--lattice", "d:3^2000", "--property", "strongly-cancellative"],
+         "l = 3, k = 2000"),
+        (["table", "--family", "dlk", "--l", "3", "--k", "2000"], "l = 3, k = 2000"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error:"), argv
+        assert names in err, (argv, err)

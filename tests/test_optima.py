@@ -6,13 +6,17 @@ where another family of the same size survives elsewhere in the tree.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
+import latsets.search
 from latsets import (
+    ChainProductLattice,
     PointSet,
     SearchConfig,
+    applicable_bounds,
     enumerate_lattice,
     exact_max,
     parse_lattice_spec,
@@ -26,7 +30,8 @@ CANC = "cancellative"
 
 # (lattice, property): (optimum, canonical witness as point indices in
 # canonical order), from completed runs of the earlier branch-and-bound
-# search, which pruned only by the count of remaining points.
+# search, which pruned only by the count of remaining points; b:7 from the
+# Russian-doll search before it stopped at the bounds.
 OPTIMA = {
     ("b:2", CANC): (3, (1, 2, 3)),
     ("b:2", SC): (2, (0, 1)),
@@ -43,6 +48,7 @@ OPTIMA = {
     ("b:6", CANC): (10, (15, 23, 27, 45, 46, 53, 54, 57, 58, 63)),
     ("b:6", SC): (8, (7, 11, 21, 25, 38, 42, 52, 56)),
     ("b:6", REC): (5, (3, 13, 22, 39, 56)),
+    ("b:7", SC): (8, (7, 11, 21, 25, 38, 42, 52, 56)),
     ("d:3,3", CANC): (4, (2, 4, 6, 8)),
     ("d:3,3", SC): (3, (1, 5, 6)),
     ("d:3,3", REC): (3, (1, 5, 6)),
@@ -110,3 +116,28 @@ def test_canonical_witness_is_lex_first_maximum():
             assert result.proven_optimal
             assert _indices(result, points) == lex_first_maximum(lattice, prop), (
                 lattice, prop)
+
+
+def test_every_bound_is_sound(monkeypatch):
+    # exact search stops once it meets the smallest bound, so a bound below
+    # the optimum would go unnoticed by the search itself: switch the stop
+    # off for the random lattices, and use the pinned optima for the rest
+    for (spec, prop), (optimum, _) in OPTIMA.items():
+        for report in applicable_bounds(parse_lattice_spec(spec), prop):
+            assert math.floor(report.upper_bound) >= optimum, (spec, prop, report)
+    monkeypatch.setattr(latsets.search, "applicable_bounds", lambda *args: [])
+    rng = random.Random(1729)
+    lattices = [ChainProductLattice(lengths)
+                for l in range(2, 7) for lengths in ((1, l), (l, 1))]
+    while len(lattices) < 40:
+        lattice = random_lattice(rng, max_k=4, max_l=6)
+        if lattice.size <= 12:
+            lattices.append(lattice)
+    for lattice in lattices:
+        for prop in (CANC, SC, REC):
+            reports = applicable_bounds(lattice, prop)
+            if not reports:
+                continue
+            optimum = exact_max(SearchConfig(lattice, prop)).best_size
+            for report in reports:
+                assert math.floor(report.upper_bound) >= optimum, (lattice, prop, report)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import latsets.search
 from latsets import (
     ChainProductLattice,
     PointSet,
@@ -113,6 +114,27 @@ def test_exhaustive_oracle_guard():
         exhaustive_max(ChainProductLattice.boolean(5), SC)
 
 
+def test_bound_certified_stop_keeps_results(monkeypatch):
+    # b:n and d:l1,l2 meet their strongly cancellative bound before stage 0,
+    # so the stop skips stages; with no bounds every stage runs
+    specs = ("b:4", "b:5", "b:6", "d:3,3", "d:4,5", "d:5,5")
+    stopped = {spec: exact(spec, SC) for spec in specs}
+    monkeypatch.setattr(latsets.search, "applicable_bounds", lambda *args: [])
+    for spec in specs:
+        full = exact(spec, SC)
+        assert full.proven_optimal and stopped[spec].proven_optimal
+        assert stopped[spec].best_size == full.best_size
+        assert stopped[spec].best_set == full.best_set
+        assert stopped[spec].nodes_explored < full.nodes_explored, spec
+
+
+def test_bound_beyond_float_range_does_not_stop_search():
+    # d:1^3000 is one point; its (2l)^(k/2) bound overflows a float, which
+    # the bounds report as an error, but the search needs no bound
+    result = exact_max(SearchConfig(ChainProductLattice((1,) * 3000), SC))
+    assert result.best_size == 1 and result.proven_optimal
+
+
 def test_node_budget_exhaustion():
     result = exact("b:4", SC, node_budget=5)
     assert not result.proven_optimal
@@ -218,6 +240,16 @@ def test_search_lattice_too_large():
         exact_max(SearchConfig(ChainProductLattice((2,) * 30), SC))
 
 
+def _snapshot(state) -> tuple:
+    """Copies of the members and of every value set of a search state."""
+    sets = [getattr(state, name, None)
+            for name in ("pair_meets", "pair_joins", "meet_sets", "join_sets")]
+    copies = tuple(
+        None if s is None else set(s) if isinstance(s, set) else [set(x) for x in s]
+        for s in sets)
+    return list(state.members), copies
+
+
 def test_incremental_state_matches_verifier():
     # random push/pop walk: acceptance by the incremental state must equal
     # re-verifying the would-be family from scratch
@@ -243,6 +275,9 @@ def test_incremental_state_matches_verifier():
                     continue
                 candidate = PointSet(lattice, tuple(members + [points[idx]]))
                 expected = satisfies(candidate, prop)
+                before = _snapshot(state)
+                assert state.fits(vals[idx]) == expected
+                assert _snapshot(state) == before  # fits changes nothing
                 assert state.try_push(vals[idx]) == expected
                 if expected:
                     members.append(points[idx])
