@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bounds import (
@@ -38,8 +37,6 @@ from .verify import (
     normalize_property,
     pair_statistics,
 )
-
-THREADS_ENV = "LATSETS_THREADS"
 
 
 def _fmt9(x: float) -> float:
@@ -74,16 +71,6 @@ def _parse_range(text: str) -> range:
     except ValueError:
         raise ValueError(f"bad range {text!r}; expected <lo>..<hi> or <n>") from None
     return range(value, value + 1)
-
-
-def _default_threads() -> int:
-    value = os.environ.get(THREADS_ENV)
-    if not value:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _require(args: argparse.Namespace, family: str, names: list[str]) -> list:
@@ -273,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True,
                    choices=["cancellative", "strongly-cancellative", "recovering"])
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    p.add_argument("--threads", type=int, default=_default_threads(),
+    p.add_argument("--threads", type=int, default=1,
                    help="validated (>= 1) but inert: search runs on one thread")
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--seed", help="set file used as the initial incumbent")

@@ -183,6 +183,13 @@ class PointSet:
         return PointSet(self.lattice, tuple(sorted(self.points, key=canonical_key)))
 
 
+def _check_cap(lattice: ChainProductLattice, cap: int) -> None:
+    if lattice.size > cap:
+        raise ValueError(
+            f"lattice too large to enumerate: {lattice.size} points exceeds cap {cap}"
+        )
+
+
 def enumerate_lattice(
     lattice: ChainProductLattice, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Point]:
@@ -191,22 +198,21 @@ def enumerate_lattice(
     Rejects lattices with more than `cap` points (default 2^24) to avoid
     accidental memory blowups.
     """
-    if lattice.size > cap:
-        raise ValueError(
-            f"lattice too large to enumerate: {lattice.size} points exceeds cap {cap}"
-        )
-    ranges = [range(l) for l in lattice.lengths]
-    return [Point(coords) for coords in itertools.product(*ranges)]
+    _check_cap(lattice, cap)
+    return [Point(coords) for coords in itertools.product(*map(range, lattice.lengths))]
+
+
+def enumerate_masks(lattice: ChainProductLattice) -> list[int]:
+    """The masks (mask_codec) of all points in canonical order, under the default cap."""
+    _check_cap(lattice, DEFAULT_ENUMERATION_CAP)
+    return list(map(sum, itertools.product(*_chain_tables(lattice))))
 
 
 def is_antichain(s: PointSet) -> bool:
-    """True iff all points are pairwise incomparable in the lattice order."""
-    pts = s.points
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            if leq(a, b) or leq(b, a):
-                return False
-    return True
+    """True iff no two points are comparable (for masks: a & b is a or b)."""
+    encode, _ = mask_codec(s.lattice)
+    masks = [encode(p) for p in s.points]
+    return not any(a & b in (a, b) for a, b in itertools.combinations(masks, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +259,13 @@ def mask_to_point(mask: int, n: int) -> Point:
     return Point(tuple((mask >> i) & 1 for i in range(n)))
 
 
+def _chain_tables(lattice: ChainProductLattice) -> list[list[int]]:
+    """Per chain: value -> its thermometer mask; the last one is the whole block."""
+    offsets = itertools.accumulate([l - 1 for l in lattice.lengths], initial=0)
+    return [[((1 << v) - 1) << offset for v in range(l)]
+            for l, offset in zip(lattice.lengths, offsets)]
+
+
 def mask_codec(lattice: ChainProductLattice) -> tuple[Callable, Callable]:
     """(encode, decode) of the thermometer code of a chain product.
 
@@ -263,11 +276,7 @@ def mask_codec(lattice: ChainProductLattice) -> tuple[Callable, Callable]:
     and a <= b iff mask(a) & mask(b) == mask(a).  On B_n the code is
     point_to_mask.  The encoder expects points of the lattice.
     """
-    tables = []  # per chain: value -> mask; the last one is the whole block
-    offset = 0
-    for l in lattice.lengths:
-        tables.append([((1 << v) - 1) << offset for v in range(l)])
-        offset += l - 1
+    tables = _chain_tables(lattice)
 
     def encode(p: Point) -> int:
         return sum(map(list.__getitem__, tables, p.coords))

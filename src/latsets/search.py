@@ -24,15 +24,15 @@ above the floor of the smallest applicable bound.  Once some c[i] reaches
 it, c[k] = c[i] for every k < i, and the earlier stages are skipped.
 
 Points are thermometer masks (lattice.mask_codec), so meet and join are
-& and | on every lattice.  Feasibility of adding a point is incremental:
-per-anchor meet/join value sets cover the triple conditions and global
-unordered-pair value sets cover the quad conditions, so a candidate test
-costs O(|S|).
+& and | on every lattice.  Search holds one int per point
+(lattice.enumerate_masks) and decodes only its witness.  Feasibility of
+adding a point is incremental: per-anchor meet/join value sets cover the
+triple conditions and global unordered-pair value sets cover the quad
+conditions, so a candidate test costs O(|S|).
 
 After a completed search the witness is a c-pruned rerun that returns the
 canonically first family of the optimal size; nodes_explored counts the
-stages, not that rerun.  Search runs on one thread; thread_count is
-validated but does not change the search.
+stages, not that rerun.  Search runs on one thread.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .lattice import (
     ChainProductLattice,
     PointSet,
     enumerate_lattice,
+    enumerate_masks,
     mask_codec,
 )
 from .verify import RECOVERING, STRONGLY_CANCELLATIVE, normalize_property, satisfies
@@ -190,26 +191,36 @@ class _State:
 
 
 def _setup(config: SearchConfig):
-    """The normalized property, the points in canonical order, their masks
+    """The normalized property, the masks of the points in canonical order
     and the sorted indices of the verified seed (empty without one)."""
     prop = normalize_property(config.property_name)
-    points = enumerate_lattice(config.lattice)
-    encode, _ = mask_codec(config.lattice)
-    vals = [encode(p) for p in points]
+    vals = enumerate_masks(config.lattice)
     seed = config.seed_set
     if seed is None:
-        return prop, points, vals, ()
+        return prop, vals, ()
     if seed.lattice != config.lattice:
         raise ValueError("seed set lives on a different lattice")
     if not satisfies(seed, prop):
         raise ValueError("seed set does not satisfy the property")
-    index_of = {p: i for i, p in enumerate(points)}
-    return prop, points, vals, tuple(sorted(index_of[p] for p in seed.points))
+    encode, _ = mask_codec(config.lattice)
+    index_of = {v: i for i, v in enumerate(vals)}
+    return prop, vals, tuple(sorted(index_of[encode(p)] for p in seed.points))
 
 
-def _result(config: SearchConfig, prop: str, points, indices, proven: bool,
+def _bound_cap(lattice: ChainProductLattice, prop: str) -> float:
+    """Floor of the smallest applicable upper bound, which no family exceeds;
+    inf when none applies or one overflows a float (as on d:1^3000)."""
+    try:
+        reports = applicable_bounds(lattice, prop)
+    except ValueError:
+        return math.inf
+    return min((math.floor(r.upper_bound) for r in reports), default=math.inf)
+
+
+def _result(config: SearchConfig, prop: str, vals, indices, proven: bool,
             nodes: int) -> SearchResult:
-    best_set = PointSet(config.lattice, tuple(points[i] for i in indices))
+    _, decode = mask_codec(config.lattice)
+    best_set = PointSet(config.lattice, tuple(decode(vals[i]) for i in indices))
     if not satisfies(best_set, prop):  # pragma: no cover - mandatory re-verification
         raise RuntimeError("internal error: search produced an invalid family")
     return SearchResult(best_set, len(indices), proven, nodes)
@@ -225,7 +236,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
     found by the last successful stage.  The witness is re-verified before
     returning.
     """
-    prop, points, vals, best_indices = _setup(config)
+    prop, vals, best_indices = _setup(config)
     n = len(vals)
     c = [0] * (n + 1)  # c[j] = largest family among points j..n-1
     state = _State(prop)
@@ -269,12 +280,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
                 return found
         return None
 
-    # no family is larger than the smallest applicable upper bound
-    try:
-        reports = applicable_bounds(config.lattice, prop)
-    except ValueError:  # a bound beyond float range (d:1^k, huge k) caps nothing
-        reports = []
-    cap = min((math.floor(r.upper_bound) for r in reports), default=n)
+    cap = _bound_cap(config.lattice, prop)
     for i in range(n - 1, -1, -1):
         # stage i: is there a family of c[i+1]+1 points whose first point is i?
         # c[i] is set first so that point i passes the size + c[j] test.
@@ -298,27 +304,24 @@ def exact_max(config: SearchConfig) -> SearchResult:
         best_indices = first_of_size(range(n), c[0])
         if best_indices is None:  # pragma: no cover - stage 0 proves one exists
             raise RuntimeError("internal error: lost the optimal family")
-    return _result(config, prop, points, best_indices, proven, stage_nodes)
+    return _result(config, prop, vals, best_indices, proven, stage_nodes)
 
 
 def greedy(config: SearchConfig) -> SearchResult:
     """Scan points in canonical order, keeping each one that preserves the
     property.  proven_optimal is True only when the result size meets an
     applicable upper bound, which certifies it as a true maximum."""
-    prop, points, vals, seed = _setup(config)
+    prop, vals, seed = _setup(config)
     state = _State(prop)
     for i in seed:
         if not state.try_push(vals[i]):  # pragma: no cover - seed was verified
             raise RuntimeError("internal error: verified seed failed to load")
     chosen = set(seed)
-    for i in range(len(points)):  # i is in chosen only as a seed point
+    for i in range(len(vals)):  # i is in chosen only as a seed point
         if i not in chosen and state.try_push(vals[i]):
             chosen.add(i)
-    # size + 1 > bound means no strictly larger family can exist
-    reports = applicable_bounds(config.lattice, config.property_name)
-    proven = any(len(chosen) + 1 > r.upper_bound for r in reports)
-    return _result(config, prop, points, sorted(chosen), proven,
-                   len(points) - len(seed))
+    proven = len(chosen) >= _bound_cap(config.lattice, prop)
+    return _result(config, prop, vals, sorted(chosen), proven, len(vals) - len(seed))
 
 
 def run_search(config: SearchConfig) -> SearchResult:

@@ -239,8 +239,8 @@ def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
     """
     prop = normalize_property(prop)
     pts = sorted(s.points, key=canonical_key)
-    ordered = PointSet(s.lattice, tuple(pts))
-    vals, decode = _encode_set(ordered)
+    encode, decode = mask_codec(s.lattice)
+    vals = [encode(p) for p in pts]
 
     ops = (operator.and_,) if prop == CANCELLATIVE else (operator.and_, operator.or_)
     # (indices, kind, value); the searches run in kind order and a later

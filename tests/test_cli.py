@@ -318,17 +318,6 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["bestSize"] == 2
 
 
-def test_default_threads_env(monkeypatch):
-    from latsets.cli import _default_threads
-
-    monkeypatch.delenv("LATSETS_THREADS", raising=False)
-    assert _default_threads() == 1
-    monkeypatch.setenv("LATSETS_THREADS", "4")
-    assert _default_threads() == 4
-    monkeypatch.setenv("LATSETS_THREADS", "junk")
-    assert _default_threads() == 1
-
-
 def test_huge_bound_parameters_exit_1(capsys):
     # the bounds overflow a float; they are errors, not tracebacks
     for argv, names in (

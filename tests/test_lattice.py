@@ -19,7 +19,7 @@ from latsets import (
     subset_decode,
     subset_encode,
 )
-from latsets.lattice import mask_codec
+from latsets.lattice import enumerate_masks, mask_codec
 
 
 def P(*coords):
@@ -77,6 +77,8 @@ def test_enumerate_cap():
     big = ChainProductLattice((2,) * 30)
     with pytest.raises(ValueError, match="too large"):
         enumerate_lattice(big)
+    with pytest.raises(ValueError, match="too large"):
+        enumerate_masks(big)
     assert len(enumerate_lattice(ChainProductLattice((2, 2)), cap=4)) == 4
     with pytest.raises(ValueError, match="too large"):
         enumerate_lattice(ChainProductLattice((2, 2)), cap=3)
@@ -129,6 +131,7 @@ def test_mask_codec_embeds_chain_products():
         encode, decode = mask_codec(lattice)
         points = enumerate_lattice(lattice)
         assert len({encode(p) for p in points}) == len(points)
+        assert enumerate_masks(lattice) == [encode(p) for p in points]
         for _ in range(40):
             a, b = rng.choice(points), rng.choice(points)
             ma, mb = encode(a), encode(b)
@@ -215,6 +218,7 @@ def test_is_antichain():
     lat = ChainProductLattice((3, 3))
     assert is_antichain(PointSet.from_coords(lat, [(0, 2), (1, 1), (2, 0)]))
     assert not is_antichain(PointSet.from_coords(lat, [(0, 0), (1, 1)]))
+    assert not is_antichain(PointSet.from_coords(lat, [(1, 1), (0, 0)]))
     assert is_antichain(PointSet.from_coords(lat, [(1, 1)]))
     assert is_antichain(PointSet.from_coords(lat, []))
 

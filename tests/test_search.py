@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -131,8 +132,26 @@ def test_bound_certified_stop_keeps_results(monkeypatch):
 def test_bound_beyond_float_range_does_not_stop_search():
     # d:1^3000 is one point; its (2l)^(k/2) bound overflows a float, which
     # the bounds report as an error, but the search needs no bound
-    result = exact_max(SearchConfig(ChainProductLattice((1,) * 3000), SC))
+    config = SearchConfig(ChainProductLattice((1,) * 3000), SC)
+    result = exact_max(config)
     assert result.best_size == 1 and result.proven_optimal
+    # without a bound greedy cannot certify its family
+    result = greedy(config)
+    assert result.best_size == 1 and not result.proven_optimal
+
+
+def test_search_memory_per_point():
+    # search holds one int per lattice point, not a Point per point
+    lattice = parse_lattice_spec("b:14")
+    for kw in ({"mode": "greedy"}, {"mode": "exact", "node_budget": 50}):
+        config = SearchConfig(lattice, SC, **kw)
+        tracemalloc.start()
+        try:
+            run_search(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / lattice.size <= 100, kw
 
 
 def test_node_budget_exhaustion():
