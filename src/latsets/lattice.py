@@ -52,6 +52,14 @@ class Point:
         return f"Point{self.coords}"
 
 
+def _trusted_point(coords: tuple) -> Point:
+    """A Point from a tuple of non-negative ints, skipping their validation;
+    only for coordinates that are valid by construction."""
+    p = object.__new__(Point)
+    object.__setattr__(p, "coords", coords)
+    return p
+
+
 def _check_dims(a: Point, b: Point) -> None:
     if len(a.coords) != len(b.coords):
         raise ValueError(
@@ -282,7 +290,7 @@ def mask_codec(lattice: ChainProductLattice) -> tuple[Callable, Callable]:
         return sum(map(list.__getitem__, tables, p.coords))
 
     def decode(mask: int) -> Point:
-        return Point(tuple((mask & table[-1]).bit_count() for table in tables))
+        return _trusted_point(tuple((mask & table[-1]).bit_count() for table in tables))
 
     return encode, decode
 

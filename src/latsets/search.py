@@ -33,6 +33,25 @@ conditions, so a candidate test costs O(|S|).
 After a completed search the witness is a c-pruned rerun that returns the
 canonically first family of the optimal size; nodes_explored counts the
 stages, not that rerun.  Search runs on one thread.
+
+Both the stages and the rerun break symmetry by lex-leader pruning
+(Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for
+search problems", KR 1996).  Swapping two adjacent chains of equal length
+is a lattice automorphism, and reversing every chain swaps meet and join,
+which preserves strongly cancellative and recovering (not cancellative).
+These generators act on point indices arithmetically.  A prefix P with
+largest point last is cut when, for some generator g, the sorted
+g(x) <= last over x in P is smaller than P at the first place they
+differ: every completion F of P then has a smaller image g(F), so F is
+not the lexicographically first family of its orbit, and that family
+survives elsewhere in the tree.  The rerun uses every generator, since
+the canonical witness is the first family of its orbit.  Stage i asks
+about families inside {i..n-1} that start at i, so it uses only the
+generators that fix i and map {i..n-1} into itself; the first such family
+is the first of its orbit, so every stage finds the family it found
+without symmetry and c[] keeps its meaning.  Each node carries, per
+generator, the first point of P where sorted g(P) exceeds it (n when
+g(P) = P), which decides almost every child in O(1).
 """
 
 from __future__ import annotations
@@ -50,7 +69,13 @@ from .lattice import (
     enumerate_masks,
     mask_codec,
 )
-from .verify import RECOVERING, STRONGLY_CANCELLATIVE, normalize_property, satisfies
+from .verify import (
+    CANCELLATIVE,
+    RECOVERING,
+    STRONGLY_CANCELLATIVE,
+    normalize_property,
+    satisfies,
+)
 
 EXACT = "exact"
 GREEDY = "greedy"
@@ -217,6 +242,71 @@ def _bound_cap(lattice: ChainProductLattice, prop: str) -> float:
     return min((math.floor(r.upper_bound) for r in reports), default=math.inf)
 
 
+def _transposition(w: int, l: int) -> tuple[Callable, Callable]:
+    """Swap of the adjacent digits of weights w*l and w, two chains of l
+    elements; at stage i it needs equal digits at the bottom or top."""
+    wl = w * l
+    step = wl - w
+
+    def image(i: int) -> int:
+        return i + ((i // w) % l - (i // wl) % l) * step
+
+    def at_stage(i: int) -> bool:
+        a = (i // wl) % l
+        return a == (i // w) % l and a in (0, l - 1)
+
+    return image, at_stage
+
+
+def _symmetries(lattice: ChainProductLattice, prop: str) -> list[tuple[Callable, Callable]]:
+    """(image, at_stage) per symmetry generator of the search: image maps a
+    point index to the index of its image, and at_stage(i) is whether the
+    generator fixes i and maps {i..n-1} into itself.  Identities are left
+    out."""
+    lengths = lattice.lengths
+    n = lattice.size
+    weights = [n // math.prod(lengths[:s + 1]) for s in range(len(lengths))]
+    gens = [_transposition(weights[s + 1], l)
+            for s, l in enumerate(lengths[:-1]) if l > 1 and lengths[s + 1] == l]
+    if prop != CANCELLATIVE and n > 1:
+        top = n - 1
+        gens.append((lambda i: top - i, lambda i: False))
+    return gens
+
+
+def _lead(image: Callable, prefix: list, n: int) -> Optional[int]:
+    """First point of the sorted prefix where the sorted image differs
+    from it, n when the image is the prefix itself, or None when the image
+    is smaller there."""
+    for x, y in zip(prefix, sorted(map(image, prefix))):
+        if x != y:
+            return x if x < y else None
+    return n
+
+
+def _child_leads(images: list, leads: list, chosen: list, j: int, n: int) -> Optional[list]:
+    """The leads of chosen + [j] under each generator from those of chosen,
+    or None when some generator proves that no completion of chosen + [j]
+    is the first family of its orbit."""
+    out = []
+    for image, d in zip(images, leads):
+        y = image(j)
+        if d == n:  # image(chosen) is chosen
+            if y < j:
+                return None
+            out.append(n if y == j else j)
+        elif y > d:  # d < j, and the images stay above the prefix at d
+            out.append(d)
+        elif y < d:
+            return None
+        else:
+            d = _lead(image, chosen + [j], n)
+            if d is None:
+                return None
+            out.append(d)
+    return out
+
+
 def _result(config: SearchConfig, prop: str, vals, indices, proven: bool,
             nodes: int) -> SearchResult:
     _, decode = mask_codec(config.lattice)
@@ -248,17 +338,26 @@ def exact_max(config: SearchConfig) -> SearchResult:
     progress = config.progress
     interval = config.progress_interval if progress is not None else 0
 
-    def first_of_size(cands, target: int) -> Optional[tuple]:
+    images: list = []  # the symmetry generators in use, as index maps
+
+    def first_of_size(cands, target: int, leads: list) -> Optional[tuple]:
         """Canonically first way to extend the chosen points to `target`
         points from cands, the ascending indices that still fit, or None
-        (also when the budget ran out).  The state is restored either way.
-        Every push is one node; the budget is checked after each."""
+        (also when the budget ran out), skipping the children that the
+        generators in `images` cut; leads are those of the chosen points.
+        The state is restored either way.  Every push is one node; the
+        budget is checked after each."""
         nonlocal nodes, stopped
         size = len(chosen)
         m = len(cands)
         for p, j in enumerate(cands):
             if size + c[j] < target or size + (m - p) < target:
                 return None  # both only shrink as j grows: no later j can do better
+            child_leads = leads
+            if images:
+                child_leads = _child_leads(images, leads, chosen, j, n)
+                if child_leads is None:
+                    continue
             state.push(vals[j])
             chosen.append(j)
             nodes += 1
@@ -273,7 +372,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
             else:
                 rest = [k for k in cands[p + 1:] if fits(vals[k])]
                 found = (None if size + 1 + len(rest) < target
-                         else first_of_size(rest, target))
+                         else first_of_size(rest, target, child_leads))
             state.pop()
             chosen.pop()
             if found is not None or stopped:
@@ -281,11 +380,13 @@ def exact_max(config: SearchConfig) -> SearchResult:
         return None
 
     cap = _bound_cap(config.lattice, prop)
+    symmetries = _symmetries(config.lattice, prop)
     for i in range(n - 1, -1, -1):
         # stage i: is there a family of c[i+1]+1 points whose first point is i?
         # c[i] is set first so that point i passes the size + c[j] test.
         c[i] = c[i + 1] + 1
-        found = first_of_size(range(i, n), c[i])
+        images = [image for image, at_stage in symmetries if at_stage(i)]
+        found = first_of_size(range(i, n), c[i], [n] * len(images))
         if found is None:
             c[i] -= 1
         elif len(found) > len(best_indices):
@@ -301,7 +402,8 @@ def exact_max(config: SearchConfig) -> SearchResult:
     stage_nodes = nodes
     if proven:
         budget = None  # the rerun is outside the budget and nodes_explored
-        best_indices = first_of_size(range(n), c[0])
+        images = [image for image, _ in symmetries]
+        best_indices = first_of_size(range(n), c[0], [n] * len(images))
         if best_indices is None:  # pragma: no cover - stage 0 proves one exists
             raise RuntimeError("internal error: lost the optimal family")
     return _result(config, prop, vals, best_indices, proven, stage_nodes)

@@ -132,6 +132,9 @@ def test_mask_codec_embeds_chain_products():
         points = enumerate_lattice(lattice)
         assert len({encode(p) for p in points}) == len(points)
         assert enumerate_masks(lattice) == [encode(p) for p in points]
+        for p in points:  # decode builds its Point without re-validating
+            q = decode(encode(p))
+            assert q == p and hash(q) == hash(p) and type(q) is Point
         for _ in range(40):
             a, b = rng.choice(points), rng.choice(points)
             ma, mb = encode(a), encode(b)

@@ -30,8 +30,12 @@ CANC = "cancellative"
 
 # (lattice, property): (optimum, canonical witness as point indices in
 # canonical order), from completed runs of the earlier branch-and-bound
-# search, which pruned only by the count of remaining points; b:7 from the
-# Russian-doll search before it stopped at the bounds.
+# search, which pruned only by the count of remaining points.  The b:7
+# rows come from the Russian-doll search without symmetry pruning:
+# strongly cancellative before it stopped at the bounds, recovering and
+# cancellative with candidate lists (7 s and 29 s there).  b:8 strongly
+# cancellative comes from the search with symmetry pruning and matches a
+# run without it (27 s).
 OPTIMA = {
     ("b:2", CANC): (3, (1, 2, 3)),
     ("b:2", SC): (2, (0, 1)),
@@ -49,6 +53,10 @@ OPTIMA = {
     ("b:6", SC): (8, (7, 11, 21, 25, 38, 42, 52, 56)),
     ("b:6", REC): (5, (3, 13, 22, 39, 56)),
     ("b:7", SC): (8, (7, 11, 21, 25, 38, 42, 52, 56)),
+    ("b:7", REC): (6, (7, 25, 43, 53, 78, 98)),
+    ("b:7", CANC): (13, (15, 23, 27, 45, 53, 57, 78, 86, 90, 108, 116, 120, 127)),
+    ("b:8", SC): (16, (15, 23, 43, 51, 77, 85, 105, 113,
+                       142, 150, 170, 178, 204, 212, 232, 240)),
     ("d:3,3", CANC): (4, (2, 4, 6, 8)),
     ("d:3,3", SC): (3, (1, 5, 6)),
     ("d:3,3", REC): (3, (1, 5, 6)),

@@ -19,6 +19,8 @@ from latsets import (
     satisfies,
 )
 
+from latsets.lattice import enumerate_masks
+from latsets.search import _symmetries
 from oracles import random_lattice
 
 SC = "strongly_cancellative"
@@ -235,11 +237,73 @@ def test_progress_covers_witness_rerun():
     # the rerun keeps reporting, counting on from the stages' nodes, while
     # nodes_explored still counts the stages only
     seen = []
-    result = exact("b:6", CANC, progress_interval=1000,
+    result = exact("d:4^3", CANC, progress_interval=1000,
                    progress=lambda n, b: seen.append(n))
-    assert result.nodes_explored == exact("b:6", CANC).nodes_explored
+    assert result.nodes_explored == exact("d:4^3", CANC).nodes_explored
     assert seen == sorted(set(seen)) and all(n % 1000 == 0 for n in seen)
     assert max(seen) > result.nodes_explored
+
+
+def _symmetry_lattices() -> list:
+    rng = random.Random(8128)
+    lattices = [parse_lattice_spec(spec) for spec in ("d:3,4,3", "d:4^3", "d:5,5,2")]
+    while len(lattices) < 26:
+        lattice = random_lattice(rng, max_k=4, max_l=4)
+        if lattice.size <= 81:
+            lattices.append(lattice)
+    return lattices
+
+
+SYMMETRY_LATTICES = _symmetry_lattices()
+
+
+def test_symmetries_are_automorphisms():
+    # every generator is a bijection on indices other than the identity;
+    # transpositions keep & and |, reversal swaps them
+    counts = {"transposition": 0, "reversal": 0}
+    for lattice in SYMMETRY_LATTICES:
+        vals = enumerate_masks(lattice)
+        n = len(vals)
+        index = {v: i for i, v in enumerate(vals)}
+        for image, _ in _symmetries(lattice, SC):
+            perm = [image(i) for i in range(n)]
+            assert sorted(perm) == list(range(n)) and perm != sorted(perm), lattice
+            kind = "reversal" if perm == list(range(n - 1, -1, -1)) else "transposition"
+            counts[kind] += 1
+            for a in range(n):
+                ga = vals[perm[a]]
+                for b in range(n):
+                    gb = vals[perm[b]]
+                    meet_image = vals[perm[index[vals[a] & vals[b]]]]
+                    join_image = vals[perm[index[vals[a] | vals[b]]]]
+                    if kind == "reversal":
+                        assert (meet_image, join_image) == (ga | gb, ga & gb), lattice
+                    else:
+                        assert (meet_image, join_image) == (ga & gb, ga | gb), lattice
+    assert counts["transposition"] and counts["reversal"]
+
+
+def test_reversal_only_for_self_dual_properties():
+    # reversal swaps meet and join: it keeps strongly cancellative and
+    # recovering, but not cancellative, which constrains meets only
+    for lattice in SYMMETRY_LATTICES:
+        n = lattice.size
+        reversed_order = list(range(n - 1, -1, -1))
+        for prop in (CANC, SC, REC):
+            reversals = [image for image, _ in _symmetries(lattice, prop)
+                         if [image(i) for i in range(n)] == reversed_order]
+            assert len(reversals) == (0 if prop == CANC or n == 1 else 1), (lattice, prop)
+
+
+def test_stage_symmetries_fix_the_stage_suffix():
+    # stage i may prune only with generators that fix point i and map the
+    # points i..n-1 into themselves
+    for lattice in SYMMETRY_LATTICES:
+        n = lattice.size
+        for image, at_stage in _symmetries(lattice, SC):
+            perm = [image(i) for i in range(n)]
+            for i in range(n):
+                assert at_stage(i) == (perm[i] == i and min(perm[i:]) >= i), (lattice, i)
 
 
 def test_config_validation():
