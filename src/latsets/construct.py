@@ -1,10 +1,10 @@
 """Explicit strongly cancellative families.
 
-Four constructions: the pair-block family on B_n of size 2^floor(n/2), the
-antidiagonal on a product of two chains of size min(l1, l2), the block
-composition that raises an incomparable base family on D_l^k1 to D_l^k,
-and the chain-power family of size l^floor(k/2) obtained by composing the
-antidiagonal with itself.
+Three constructions: the antidiagonal on a product of two chains of size
+min(l1, l2), the block composition that raises an incomparable base family
+on D_l^k1 to D_l^k, and the chain-power family of size l^floor(k/2)
+obtained by composing the antidiagonal with itself.  On B_n = D_2^n the
+chain-power family is the pair-block family of size 2^floor(n/2).
 
 All outputs are sorted in canonical order so repeated runs are
 byte-identical.  A family of more than DEFAULT_ENUMERATION_CAP (2^24)
@@ -43,21 +43,12 @@ def block_construction_bn(n: int) -> PointSet:
 
     For odd n the last element is never used.  The family is strongly
     cancellative: two members differ inside some block, and the element
-    chosen there separates every anchored meet and join.
+    chosen there separates every anchored meet and join.  It is the
+    chain-power family on D_2^n = B_n.
     """
     if n < 2:
         raise ValueError(f"block construction needs n >= 2, got {n}")
-    _check_size(2, n // 2)
-    lattice = ChainProductLattice.boolean(n)
-    blocks = n // 2
-    points = []
-    for choice in itertools.product((0, 1), repeat=blocks):
-        coords = [0] * n
-        for i, pick in enumerate(choice):
-            coords[2 * i + pick] = 1
-        points.append(Point(tuple(coords)))
-    points.sort(key=canonical_key)
-    return PointSet(lattice, tuple(points))
+    return power_construction(2, n)
 
 
 def diagonal_construction(l1: int, l2: int) -> PointSet:

@@ -39,24 +39,25 @@ Both the stages and the rerun break symmetry by lex-leader pruning
 search problems", KR 1996).  Swapping two adjacent chains of equal length
 is a lattice automorphism, and reversing every chain swaps meet and join,
 which preserves strongly cancellative and recovering (not cancellative).
-These generators act on point indices arithmetically.  A prefix P with
-largest point last is cut when, for some generator g, the sorted
-g(x) <= last over x in P is smaller than P at the first place they
-differ: every completion F of P then has a smaller image g(F), so F is
-not the lexicographically first family of its orbit, and that family
-survives elsewhere in the tree.  The rerun uses every generator, since
-the canonical witness is the first family of its orbit.  Stage i asks
-about families inside {i..n-1} that start at i, so it uses only the
-generators that fix i and map {i..n-1} into itself; the first such family
-is the first of its orbit, so every stage finds the family it found
-without symmetry and c[] keeps its meaning.  Each node carries, per
-generator, the first point of P where sorted g(P) exceeds it (n when
-g(P) = P), which decides almost every child in O(1).
+These generators act on point indices arithmetically.  Each node carries,
+per generator g, the sorted image g(P) of its ascending prefix P; a child
+inserts g(j) into a copy of its parent's list.  A child is cut, before it
+costs a node, when sorted g(P) < P as lists for some g.  Where the two
+first differ, g(P) holds the smaller point; every completion F of P adds
+only points above P, so sorted g(F) < F as well, F is not the
+lexicographically first family of its orbit, and that family survives
+elsewhere in the tree.  The rerun uses every generator, since the
+canonical witness is the first family of its orbit.  Stage i asks about
+families inside {i..n-1} that start at i, so it uses only the generators
+that fix i and map {i..n-1} into itself; the first such family is the
+first of its orbit, so every stage finds the family it found without
+symmetry and c[] keeps its meaning.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from operator import contains
 from typing import Callable, Optional
@@ -114,6 +115,8 @@ class SearchConfig:
             raise ValueError("thread_count must be >= 1")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError("node_budget must be >= 1 or None")
+        if self.progress_interval < 0:
+            raise ValueError("progress_interval must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -189,13 +192,6 @@ class _State:
                 self.join_sets.append(set(new_joins))
         members.append(val)
         self._trail.append((new_meets, new_joins))
-
-    def try_push(self, val: int) -> bool:
-        """Add val if the family stays feasible; no mutation on failure."""
-        if not self.fits(val):
-            return False
-        self.push(val)
-        return True
 
     def pop(self) -> None:
         new_meets, new_joins = self._trail.pop()
@@ -274,39 +270,6 @@ def _symmetries(lattice: ChainProductLattice, prop: str) -> list[tuple[Callable,
     return gens
 
 
-def _lead(image: Callable, prefix: list, n: int) -> Optional[int]:
-    """First point of the sorted prefix where the sorted image differs
-    from it, n when the image is the prefix itself, or None when the image
-    is smaller there."""
-    for x, y in zip(prefix, sorted(map(image, prefix))):
-        if x != y:
-            return x if x < y else None
-    return n
-
-
-def _child_leads(images: list, leads: list, chosen: list, j: int, n: int) -> Optional[list]:
-    """The leads of chosen + [j] under each generator from those of chosen,
-    or None when some generator proves that no completion of chosen + [j]
-    is the first family of its orbit."""
-    out = []
-    for image, d in zip(images, leads):
-        y = image(j)
-        if d == n:  # image(chosen) is chosen
-            if y < j:
-                return None
-            out.append(n if y == j else j)
-        elif y > d:  # d < j, and the images stay above the prefix at d
-            out.append(d)
-        elif y < d:
-            return None
-        else:
-            d = _lead(image, chosen + [j], n)
-            if d is None:
-                return None
-            out.append(d)
-    return out
-
-
 def _result(config: SearchConfig, prop: str, vals, indices, proven: bool,
             nodes: int) -> SearchResult:
     _, decode = mask_codec(config.lattice)
@@ -340,23 +303,31 @@ def exact_max(config: SearchConfig) -> SearchResult:
 
     images: list = []  # the symmetry generators in use, as index maps
 
-    def first_of_size(cands, target: int, leads: list) -> Optional[tuple]:
+    def first_of_size(cands, target: int, sorted_images: list) -> Optional[tuple]:
         """Canonically first way to extend the chosen points to `target`
         points from cands, the ascending indices that still fit, or None
-        (also when the budget ran out), skipping the children that the
-        generators in `images` cut; leads are those of the chosen points.
-        The state is restored either way.  Every push is one node; the
-        budget is checked after each."""
+        (also when the budget ran out).  sorted_images holds, per generator
+        in `images`, the sorted image of the chosen points; a child is
+        skipped, before it costs a node, when some generator maps it to a
+        smaller sorted list.  The state is restored either way.  Every push
+        is one node; the budget is checked after each."""
         nonlocal nodes, stopped
         size = len(chosen)
         m = len(cands)
         for p, j in enumerate(cands):
             if size + c[j] < target or size + (m - p) < target:
                 return None  # both only shrink as j grows: no later j can do better
-            child_leads = leads
+            child_images = sorted_images
             if images:
-                child_leads = _child_leads(images, leads, chosen, j, n)
-                if child_leads is None:
+                child = chosen + [j]
+                child_images = []
+                for image, img in zip(images, sorted_images):
+                    img = img.copy()
+                    insort(img, image(j))
+                    if img < child:
+                        break
+                    child_images.append(img)
+                if len(child_images) < len(images):
                     continue
             state.push(vals[j])
             chosen.append(j)
@@ -372,7 +343,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
             else:
                 rest = [k for k in cands[p + 1:] if fits(vals[k])]
                 found = (None if size + 1 + len(rest) < target
-                         else first_of_size(rest, target, child_leads))
+                         else first_of_size(rest, target, child_images))
             state.pop()
             chosen.pop()
             if found is not None or stopped:
@@ -386,7 +357,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
         # c[i] is set first so that point i passes the size + c[j] test.
         c[i] = c[i + 1] + 1
         images = [image for image, at_stage in symmetries if at_stage(i)]
-        found = first_of_size(range(i, n), c[i], [n] * len(images))
+        found = first_of_size(range(i, n), c[i], [[] for _ in images])
         if found is None:
             c[i] -= 1
         elif len(found) > len(best_indices):
@@ -403,7 +374,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
     if proven:
         budget = None  # the rerun is outside the budget and nodes_explored
         images = [image for image, _ in symmetries]
-        best_indices = first_of_size(range(n), c[0], [n] * len(images))
+        best_indices = first_of_size(range(n), c[0], [[] for _ in images])
         if best_indices is None:  # pragma: no cover - stage 0 proves one exists
             raise RuntimeError("internal error: lost the optimal family")
     return _result(config, prop, vals, best_indices, proven, stage_nodes)
@@ -416,11 +387,13 @@ def greedy(config: SearchConfig) -> SearchResult:
     prop, vals, seed = _setup(config)
     state = _State(prop)
     for i in seed:
-        if not state.try_push(vals[i]):  # pragma: no cover - seed was verified
+        if not state.fits(vals[i]):  # pragma: no cover - seed was verified
             raise RuntimeError("internal error: verified seed failed to load")
+        state.push(vals[i])
     chosen = set(seed)
     for i in range(len(vals)):  # i is in chosen only as a seed point
-        if i not in chosen and state.try_push(vals[i]):
+        if i not in chosen and state.fits(vals[i]):
+            state.push(vals[i])
             chosen.add(i)
     proven = len(chosen) >= _bound_cap(config.lattice, prop)
     return _result(config, prop, vals, sorted(chosen), proven, len(vals) - len(seed))

@@ -105,6 +105,9 @@ def test_usage_errors_exit_1(capsys):
     assert main(["search", "--lattice", "q:4", "--property", "recovering"]) == 1
     assert main(["--help"]) == 0
     capsys.readouterr()
+    code, out, err = run_cli(capsys, "search", "--lattice", "b:4", "--property",
+                             "strongly-cancellative", "--progress", "-5")
+    assert code == 1 and out == "" and err == "error: progress_interval must be >= 0\n"
 
 
 def test_search_exact(capsys):
