@@ -36,8 +36,8 @@ stages, not that rerun.  Search runs on one thread.
 
 Both the stages and the rerun break symmetry by lex-leader pruning
 (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for
-search problems", KR 1996).  Swapping two adjacent chains of equal length
-is a lattice automorphism, and reversing every chain swaps meet and join,
+search problems", KR 1996).  Swapping any two chains of equal length is
+a lattice automorphism, and reversing every chain swaps meet and join,
 which preserves strongly cancellative and recovering (not cancellative).
 These generators act on point indices arithmetically.  Each node carries,
 per generator g, the sorted image g(P) of its ascending prefix P; a child
@@ -51,7 +51,8 @@ canonical witness is the first family of its orbit.  Stage i asks about
 families inside {i..n-1} that start at i, so it uses only the generators
 that fix i and map {i..n-1} into itself; the first such family is the
 first of its orbit, so every stage finds the family it found without
-symmetry and c[] keeps its meaning.
+symmetry and c[] keeps its meaning.  As i falls, each generator g keeps
+low, the least of g(i..n-1); g serves stage i when low == i == g(i).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from operator import contains
+from operator import contains, mul
 from typing import Callable, Optional
 
 from .bounds import applicable_bounds
@@ -223,9 +224,8 @@ def _setup(config: SearchConfig):
         raise ValueError("seed set lives on a different lattice")
     if not satisfies(seed, prop):
         raise ValueError("seed set does not satisfy the property")
-    encode, _ = mask_codec(config.lattice)
-    index_of = {v: i for i, v in enumerate(vals)}
-    return prop, vals, tuple(sorted(index_of[encode(p)] for p in seed.points))
+    weights = _weights(config.lattice)
+    return prop, vals, tuple(sorted(sum(map(mul, p.coords, weights)) for p in seed.points))
 
 
 def _bound_cap(lattice: ChainProductLattice, prop: str) -> float:
@@ -238,35 +238,32 @@ def _bound_cap(lattice: ChainProductLattice, prop: str) -> float:
     return min((math.floor(r.upper_bound) for r in reports), default=math.inf)
 
 
-def _transposition(w: int, l: int) -> tuple[Callable, Callable]:
-    """Swap of the adjacent digits of weights w*l and w, two chains of l
-    elements; at stage i it needs equal digits at the bottom or top."""
-    wl = w * l
-    step = wl - w
-
-    def image(i: int) -> int:
-        return i + ((i // w) % l - (i // wl) % l) * step
-
-    def at_stage(i: int) -> bool:
-        a = (i // wl) % l
-        return a == (i // w) % l and a in (0, l - 1)
-
-    return image, at_stage
+def _weights(lattice: ChainProductLattice) -> list[int]:
+    """Mixed-radix weight of each chain: the point with coordinates c has
+    canonical index sum(c * w)."""
+    return [math.prod(lattice.lengths[s + 1:]) for s in range(lattice.k)]
 
 
-def _symmetries(lattice: ChainProductLattice, prop: str) -> list[tuple[Callable, Callable]]:
-    """(image, at_stage) per symmetry generator of the search: image maps a
-    point index to the index of its image, and at_stage(i) is whether the
-    generator fixes i and maps {i..n-1} into itself.  Identities are left
-    out."""
-    lengths = lattice.lengths
+def _transposition(u: int, w: int, l: int) -> Callable:
+    """Swap of the digits of weights u and w, two chains of l elements."""
+    return lambda i: i + ((i // w) % l - (i // u) % l) * (u - w)
+
+
+def _symmetries(lattice: ChainProductLattice, prop: str) -> list[Callable]:
+    """Symmetry generators of the search, as maps from a point index to the
+    index of its image: per class of chains of equal length l > 1, the swap
+    of each two consecutive members, and order reversal for the properties
+    it keeps.  Identities are left out."""
+    classes: dict[int, list[int]] = {}  # chain length -> weights of its chains
+    for l, w in zip(lattice.lengths, _weights(lattice)):
+        if l > 1:
+            classes.setdefault(l, []).append(w)
+    gens = [_transposition(u, w, l)
+            for l, ws in classes.items() for u, w in zip(ws, ws[1:])]
     n = lattice.size
-    weights = [n // math.prod(lengths[:s + 1]) for s in range(len(lengths))]
-    gens = [_transposition(weights[s + 1], l)
-            for s, l in enumerate(lengths[:-1]) if l > 1 and lengths[s + 1] == l]
     if prop != CANCELLATIVE and n > 1:
         top = n - 1
-        gens.append((lambda i: top - i, lambda i: False))
+        gens.append(lambda i: top - i)
     return gens
 
 
@@ -352,11 +349,14 @@ def exact_max(config: SearchConfig) -> SearchResult:
 
     cap = _bound_cap(config.lattice, prop)
     symmetries = _symmetries(config.lattice, prop)
+    lows = [n] * len(symmetries)  # per generator, the least image of i..n-1
     for i in range(n - 1, -1, -1):
         # stage i: is there a family of c[i+1]+1 points whose first point is i?
         # c[i] is set first so that point i passes the size + c[j] test.
         c[i] = c[i + 1] + 1
-        images = [image for image, at_stage in symmetries if at_stage(i)]
+        # the generators that fix i and map {i..n-1} into itself
+        lows = [min(low, image(i)) for low, image in zip(lows, symmetries)]
+        images = [image for low, image in zip(lows, symmetries) if low == i == image(i)]
         found = first_of_size(range(i, n), c[i], [[] for _ in images])
         if found is None:
             c[i] -= 1
@@ -373,7 +373,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
     stage_nodes = nodes
     if proven:
         budget = None  # the rerun is outside the budget and nodes_explored
-        images = [image for image, _ in symmetries]
+        images = symmetries
         best_indices = first_of_size(range(n), c[0], [[] for _ in images])
         if best_indices is None:  # pragma: no cover - stage 0 proves one exists
             raise RuntimeError("internal error: lost the optimal family")

@@ -35,7 +35,7 @@ CANC = "cancellative"
 # strongly cancellative before it stopped at the bounds, recovering and
 # cancellative with candidate lists (7 s and 29 s there).  b:8 strongly
 # cancellative comes from the search with symmetry pruning and matches a
-# run without it (27 s).
+# run without it (27 s), as do the d:2,2,3,2 and d:2,2,3,3 rows.
 OPTIMA = {
     ("b:2", CANC): (3, (1, 2, 3)),
     ("b:2", SC): (2, (0, 1)),
@@ -81,6 +81,10 @@ OPTIMA = {
     ("d:4^3", CANC): (8, (15, 27, 30, 39, 45, 51, 60, 63)),
     ("d:4^3", SC): (5, (3, 11, 21, 38, 52)),
     ("d:4^3", REC): (5, (3, 11, 21, 38, 52)),
+    # a stage that used a generator moving points below the stage's point
+    # into its suffix would miss these optima and return 5
+    ("d:2,2,3,2", CANC): (6, (5, 9, 16, 19, 20, 23)),
+    ("d:2,2,3,3", SC): (6, (11, 13, 15, 20, 22, 24)),
 }
 
 

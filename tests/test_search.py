@@ -143,9 +143,14 @@ def test_bound_beyond_float_range_does_not_stop_search():
 
 
 def test_search_memory_per_point():
-    # search holds one int per lattice point, not a Point per point
+    # search holds one int per lattice point, not a Point per point, and
+    # places a seed by its mixed-radix index, not through a table of points.
+    # Greedy is left out with this seed: its state holds the |S|^2 meet and
+    # join values of the 128-point seed, more than the points themselves.
     lattice = parse_lattice_spec("b:14")
-    for kw in ({"mode": "greedy"}, {"mode": "exact", "node_budget": 50}):
+    seed = block_construction_bn(14)
+    for kw in ({"mode": "greedy"}, {"mode": "exact", "node_budget": 50},
+               {"mode": "exact", "node_budget": 50, "seed_set": seed}):
         config = SearchConfig(lattice, SC, **kw)
         tracemalloc.start()
         try:
@@ -254,6 +259,7 @@ PRUNED_NODES = {
     ("d:4^3", CANC): (13188, 35190),
     ("d:4^3", SC): (10553, 11558),
     ("d:4^3", REC): (10553, 11558),
+    ("d:3,4,3", CANC): (1275, 3244),  # chains 0 and 2 swap, though not adjacent
 }
 
 
@@ -286,7 +292,7 @@ def test_symmetries_are_automorphisms():
         vals = enumerate_masks(lattice)
         n = len(vals)
         index = {v: i for i, v in enumerate(vals)}
-        for image, _ in _symmetries(lattice, SC):
+        for image in _symmetries(lattice, SC):
             perm = [image(i) for i in range(n)]
             assert sorted(perm) == list(range(n)) and perm != sorted(perm), lattice
             kind = "reversal" if perm == list(range(n - 1, -1, -1)) else "transposition"
@@ -311,20 +317,9 @@ def test_reversal_only_for_self_dual_properties():
         n = lattice.size
         reversed_order = list(range(n - 1, -1, -1))
         for prop in (CANC, SC, REC):
-            reversals = [image for image, _ in _symmetries(lattice, prop)
+            reversals = [image for image in _symmetries(lattice, prop)
                          if [image(i) for i in range(n)] == reversed_order]
             assert len(reversals) == (0 if prop == CANC or n == 1 else 1), (lattice, prop)
-
-
-def test_stage_symmetries_fix_the_stage_suffix():
-    # stage i may prune only with generators that fix point i and map the
-    # points i..n-1 into themselves
-    for lattice in SYMMETRY_LATTICES:
-        n = lattice.size
-        for image, at_stage in _symmetries(lattice, SC):
-            perm = [image(i) for i in range(n)]
-            for i in range(n):
-                assert at_stage(i) == (perm[i] == i and min(perm[i:]) >= i), (lattice, i)
 
 
 def test_config_validation():
@@ -350,6 +345,7 @@ def _snapshot(state) -> tuple:
     """Copies of the members and of every value set of a search state."""
     sets = [getattr(state, name, None)
             for name in ("pair_meets", "pair_joins", "meet_sets", "join_sets")]
+    assert any(s is not None for s in sets), "no value set found on the state"
     copies = tuple(
         None if s is None else set(s) if isinstance(s, set) else [set(x) for x in s]
         for s in sets)
