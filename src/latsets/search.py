@@ -13,11 +13,11 @@ whether some family of c[i+1]+1 points starts at point i, and stops at
 the first hit; c[i] is then c[i+1] or c[i+1]+1, and c[0] is the optimum.
 
 Heredity also means that a point which cannot join a family cannot join
-any larger one.  So each node carries Ostergard's candidate set U: the
-ascending indices after its last point that still fit its family.  A
-child's list is the rest of its parent's list, filtered by the child's
-state.  A node stops when size + c[j] or size + |U from j on| falls short
-of the target.
+any larger one.  So each node carries Ostergard's candidate set U, a
+bitset of the points after its last point that still fit its family.  A
+node tries them from the lowest bit up; a child's set is the rest of its
+parent's, less the points that its new point excludes.  A node stops when
+size + c[j] or size + |U from j on| falls short of the target.
 
 The bounds of the bounds module cap every family: no stage can push c
 above the floor of the smallest applicable bound.  Once some c[i] reaches
@@ -25,10 +25,19 @@ it, c[k] = c[i] for every k < i, and the earlier stages are skipped.
 
 Points are thermometer masks (lattice.mask_codec), so meet and join are
 & and | on every lattice.  Search holds one int per point
-(lattice.enumerate_masks) and decodes only its witness.  Feasibility of
-adding a point is incremental: per-anchor meet/join value sets cover the
-triple conditions and global unordered-pair value sets cover the quad
-conditions, so a candidate test costs O(|S|).
+(lattice.enumerate_masks) and decodes only its witness.  Candidate sets
+are filtered bit-parallel, as San Segundo, Rodriguez-Losada and Jimenez
+filter by edges ("An exact bit-parallel algorithm for the maximum clique
+problem", Computers & OR 38, 2011).  When j joins a valid family F, a
+candidate k drops out when a violation involves both: k&b = j&b,
+k&j = b&j or k&b = k&j for some b in F, with the join duals for strongly
+cancellative and recovering; for recovering also k&j equal to a pair
+meet of F, or k&z = j&y for z != y in F, and the join duals.  Meet and
+join act per chain, so each such set is a product set, an AND of slices
+(the points whose digit on one chain is ==, >= or <= a value).  A child
+then costs O(|F|) bitset operations (recovering O(|F|^2)), whatever the
+number of candidates.  Exact search caches the sets under int keys;
+greedy, which meets each pair once, builds them afresh.
 
 After a completed search the witness is a c-pruned rerun that returns the
 canonically first family of the optimal size; nodes_explored counts the
@@ -60,7 +69,8 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from operator import contains, mul
+from itertools import combinations
+from operator import mul
 from typing import Callable, Optional
 
 from .bounds import applicable_bounds
@@ -74,7 +84,6 @@ from .lattice import (
 from .verify import (
     CANCELLATIVE,
     RECOVERING,
-    STRONGLY_CANCELLATIVE,
     normalize_property,
     satisfies,
 )
@@ -84,6 +93,7 @@ GREEDY = "greedy"
 MODES = (EXACT, GREEDY)
 
 DEFAULT_NODE_BUDGET = 10**9
+_CACHE_BITS = 1 << 28  # exclusion cache of exact search: about 32 MB at most
 
 
 @dataclass(frozen=True)
@@ -134,82 +144,6 @@ class SearchResult:
             "nodesExplored": self.nodes_explored,
             "bestSet": [list(p.coords) for p in self.best_set],
         }
-
-
-class _State:
-    """Incremental feasibility state for one growing family of masks."""
-
-    def __init__(self, prop: str):
-        self.prop = prop
-        self.members: list[int] = []
-        if prop == RECOVERING:
-            # pair injectivity subsumes the anchored (triple) conditions
-            self.pair_meets: set = set()
-            self.pair_joins: set = set()
-        else:
-            self.meet_sets: list[set] = []
-            self.join_sets: Optional[list[set]] = (
-                [] if prop == STRONGLY_CANCELLATIVE else None
-            )
-        self._trail: list = []
-
-    def fits(self, val: int) -> bool:
-        """Whether adding val keeps the family feasible; changes nothing."""
-        members = self.members
-        new_meets = [val & b for b in members]
-        if len(set(new_meets)) != len(new_meets):
-            return False
-        if self.prop == RECOVERING:
-            if not self.pair_meets.isdisjoint(new_meets):
-                return False
-            new_joins = [val | b for b in members]
-            return (len(set(new_joins)) == len(new_joins)
-                    and self.pair_joins.isdisjoint(new_joins))
-        if any(map(contains, self.meet_sets, new_meets)):
-            return False
-        if self.join_sets is None:
-            return True
-        new_joins = [val | b for b in members]
-        return len(set(new_joins)) == len(new_joins) and not any(
-            map(contains, self.join_sets, new_joins))
-
-    def push(self, val: int) -> None:
-        """Add val, which must fit; pop() undoes it."""
-        members = self.members
-        new_meets = [val & b for b in members]
-        new_joins = None
-        if self.prop == RECOVERING:
-            new_joins = [val | b for b in members]
-            self.pair_meets.update(new_meets)
-            self.pair_joins.update(new_joins)
-        else:
-            for v, anchor_vals in zip(new_meets, self.meet_sets):
-                anchor_vals.add(v)
-            self.meet_sets.append(set(new_meets))
-            if self.join_sets is not None:
-                new_joins = [val | b for b in members]
-                for v, anchor_vals in zip(new_joins, self.join_sets):
-                    anchor_vals.add(v)
-                self.join_sets.append(set(new_joins))
-        members.append(val)
-        self._trail.append((new_meets, new_joins))
-
-    def pop(self) -> None:
-        new_meets, new_joins = self._trail.pop()
-        self.members.pop()
-        if self.prop == RECOVERING:
-            for v in new_meets:
-                self.pair_meets.remove(v)
-            for v in new_joins:
-                self.pair_joins.remove(v)
-            return
-        self.meet_sets.pop()
-        for v, anchor_vals in zip(new_meets, self.meet_sets):
-            anchor_vals.remove(v)
-        if new_joins is not None:
-            self.join_sets.pop()
-            for v, anchor_vals in zip(new_joins, self.join_sets):
-                anchor_vals.remove(v)
 
 
 def _setup(config: SearchConfig):
@@ -267,6 +201,102 @@ def _symmetries(lattice: ChainProductLattice, prop: str) -> list[Callable]:
     return gens
 
 
+def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
+                cache_bits: int) -> Callable[[list, int], int]:
+    """excl(F, j): the bitset of the points k for which F + {j, k} violates
+    the property, given valid F + {j} and F + {k} (F and j as indices).
+    Such a violation involves j and k, so it lies in a union of product
+    sets, ANDs of per-chain slices.  excl keeps those sets under int keys
+    in a cache that it empties once it would pass about cache_bits bits."""
+    n = len(vals)
+    full = (1 << n) - 1
+    # per chain of l > 1 elements: its mask block and, by value x, the
+    # bitsets of the points whose digit is == x, >= x and <= x
+    chains = []
+    offset = 0
+    for l, w in zip(lattice.lengths, _weights(lattice)):
+        if l > 1:
+            repeat = full // ((1 << w * l) - 1)  # bit 0 of every period
+            chains.append((((1 << l - 1) - 1) << offset,
+                           [((1 << w) - 1 << x * w) * repeat for x in range(l)],
+                           [((1 << (l - x) * w) - 1 << x * w) * repeat for x in range(l)],
+                           [((1 << (x + 1) * w) - 1) * repeat for x in range(l)]))
+            offset += l - 1
+
+    def product(z: int, v: int, join: bool) -> int:
+        """{k : k&z = v} (join: k|z = v), for masks v <= z (join: v >= z):
+        per chain, k's digit is v's where v and z differ, else at least
+        (join: at most) z's."""
+        x = full
+        for block, eq, ge, le in chains:
+            zs = (z & block).bit_count()
+            vs = (v & block).bit_count()
+            x &= eq[vs] if vs != zs else le[zs] if join else ge[zs]
+        return x
+
+    def split(b: int, j: int, join: bool) -> int:
+        """{k : k&b = k&j} (join: k|b = k|j): on each chain where b and j
+        differ, k's digit is at most their min (join: at least their max)."""
+        x = full
+        v = b | j if join else b & j
+        for block, eq, ge, le in chains:
+            if (b ^ j) & block:
+                vs = (v & block).bit_count()
+                x &= ge[vs] if join else le[vs]
+        return x
+
+    def build(key: int) -> int:
+        """The set of key (hi << offset | lo) << 2 | kind: for kind 0, the
+        points k that violate the property with the points hi and lo; for
+        kind 1, {k : k&lo = hi}; for kind 2, {k : k|lo = hi}."""
+        kind = key & 3
+        hi, lo = key >> offset + 2, key >> 2 & (1 << offset) - 1
+        if kind:
+            return product(lo, hi, kind == 2)
+        x = product(hi, hi & lo, False) | product(lo, hi & lo, False) | split(hi, lo, False)
+        if prop != CANCELLATIVE:
+            x |= product(hi, hi | lo, True) | product(lo, hi | lo, True) | split(hi, lo, True)
+        return x
+
+    cache: dict[int, int] = {}
+    limit = cache_bits // (n + 1024)  # an entry costs about 128 bytes besides its set
+
+    def lookup(key: int) -> int:
+        s = cache.get(key)
+        if s is None:
+            if len(cache) >= limit:
+                cache.clear()
+            s = cache[key] = build(key)
+        return s
+
+    def excl(family: list, j: int) -> int:
+        jv = vals[j]
+        fam = [vals[b] for b in family]
+        x = 0
+        for b in fam:  # triples {b, j, k}
+            x |= lookup((b << offset | jv) << 2)
+        if prop == RECOVERING:  # quads: k&j is a pair meet of F, or k&z = j&y
+            for z in fam:
+                for y in fam:
+                    if y != z:
+                        v = jv & y
+                        if v & z == v:
+                            x |= lookup((v << offset | z) << 2 | 1)
+                        v = jv | y
+                        if v | z == v:
+                            x |= lookup((v << offset | z) << 2 | 2)
+            for a, b in combinations(fam, 2):
+                v = a & b
+                if v & jv == v:
+                    x |= lookup((v << offset | jv) << 2 | 1)
+                v = a | b
+                if v | jv == v:
+                    x |= lookup((v << offset | jv) << 2 | 2)
+        return x
+
+    return excl
+
+
 def _result(config: SearchConfig, prop: str, vals, indices, proven: bool,
             nodes: int) -> SearchResult:
     _, decode = mask_codec(config.lattice)
@@ -289,8 +319,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
     prop, vals, best_indices = _setup(config)
     n = len(vals)
     c = [0] * (n + 1)  # c[j] = largest family among points j..n-1
-    state = _State(prop)
-    fits = state.fits
+    excl = _exclusions(config.lattice, prop, vals, _CACHE_BITS)
     chosen: list[int] = []
     nodes = 0
     budget = config.node_budget
@@ -300,19 +329,20 @@ def exact_max(config: SearchConfig) -> SearchResult:
 
     images: list = []  # the symmetry generators in use, as index maps
 
-    def first_of_size(cands, target: int, sorted_images: list) -> Optional[tuple]:
+    def first_of_size(cands: int, target: int, sorted_images: list) -> Optional[tuple]:
         """Canonically first way to extend the chosen points to `target`
-        points from cands, the ascending indices that still fit, or None
-        (also when the budget ran out).  sorted_images holds, per generator
-        in `images`, the sorted image of the chosen points; a child is
-        skipped, before it costs a node, when some generator maps it to a
-        smaller sorted list.  The state is restored either way.  Every push
-        is one node; the budget is checked after each."""
+        points from cands, the bitset of the later points that still fit,
+        or None (also when the budget ran out).  sorted_images holds, per
+        generator in `images`, the sorted image of the chosen points; a
+        child is skipped, before it costs a node, when some generator maps
+        it to a smaller sorted list.  Every child is one node; the budget
+        is checked after each."""
         nonlocal nodes, stopped
         size = len(chosen)
-        m = len(cands)
-        for p, j in enumerate(cands):
-            if size + c[j] < target or size + (m - p) < target:
+        while cands:
+            j = (cands & -cands).bit_length() - 1
+            cands &= cands - 1  # the candidates after j
+            if size + c[j] < target or size + 1 + cands.bit_count() < target:
                 return None  # both only shrink as j grows: no later j can do better
             child_images = sorted_images
             if images:
@@ -326,57 +356,58 @@ def exact_max(config: SearchConfig) -> SearchResult:
                     child_images.append(img)
                 if len(child_images) < len(images):
                     continue
-            state.push(vals[j])
-            chosen.append(j)
             nodes += 1
             if nodes == budget:
                 stopped = True
             if interval and nodes % interval == 0:
                 progress(nodes, len(best_indices))
             if size + 1 == target:
-                found = tuple(chosen)
+                found = (*chosen, j)
             elif stopped:
                 found = None
             else:
-                rest = [k for k in cands[p + 1:] if fits(vals[k])]
-                found = (None if size + 1 + len(rest) < target
+                rest = cands & ~excl(chosen, j)
+                chosen.append(j)
+                found = (None if size + 1 + rest.bit_count() < target
                          else first_of_size(rest, target, child_images))
-            state.pop()
-            chosen.pop()
+                chosen.pop()
             if found is not None or stopped:
                 return found
         return None
 
-    cap = _bound_cap(config.lattice, prop)
-    symmetries = _symmetries(config.lattice, prop)
-    lows = [n] * len(symmetries)  # per generator, the least image of i..n-1
-    for i in range(n - 1, -1, -1):
-        # stage i: is there a family of c[i+1]+1 points whose first point is i?
-        # c[i] is set first so that point i passes the size + c[j] test.
-        c[i] = c[i + 1] + 1
-        # the generators that fix i and map {i..n-1} into itself
-        lows = [min(low, image(i)) for low, image in zip(lows, symmetries)]
-        images = [image for low, image in zip(lows, symmetries) if low == i == image(i)]
-        found = first_of_size(range(i, n), c[i], [[] for _ in images])
-        if found is None:
-            c[i] -= 1
-        elif len(found) > len(best_indices):
-            best_indices = found
-        if stopped:
-            break
-        if c[i] >= cap:
-            # c[0] <= cap, so every earlier stage would end at c[i] too
-            c[:i] = [c[i]] * i
-            break
+    try:
+        cap = _bound_cap(config.lattice, prop)
+        symmetries = _symmetries(config.lattice, prop)
+        lows = [n] * len(symmetries)  # per generator, the least image of i..n-1
+        for i in range(n - 1, -1, -1):
+            # stage i: is there a family of c[i+1]+1 points whose first point is i?
+            # c[i] is set first so that point i passes the size + c[j] test.
+            c[i] = c[i + 1] + 1
+            # the generators that fix i and map {i..n-1} into itself
+            lows = [min(low, image(i)) for low, image in zip(lows, symmetries)]
+            images = [image for low, image in zip(lows, symmetries) if low == i == image(i)]
+            found = first_of_size((1 << n) - (1 << i), c[i], [[] for _ in images])
+            if found is None:
+                c[i] -= 1
+            elif len(found) > len(best_indices):
+                best_indices = found
+            if stopped:
+                break
+            if c[i] >= cap:
+                # c[0] <= cap, so every earlier stage would end at c[i] too
+                c[:i] = [c[i]] * i
+                break
 
-    proven = not stopped
-    stage_nodes = nodes
-    if proven:
-        budget = None  # the rerun is outside the budget and nodes_explored
-        images = symmetries
-        best_indices = first_of_size(range(n), c[0], [[] for _ in images])
-        if best_indices is None:  # pragma: no cover - stage 0 proves one exists
-            raise RuntimeError("internal error: lost the optimal family")
+        proven = not stopped
+        stage_nodes = nodes
+        if proven:
+            budget = None  # the rerun is outside the budget and nodes_explored
+            images = symmetries
+            best_indices = first_of_size((1 << n) - 1, c[0], [[] for _ in images])
+            if best_indices is None:  # pragma: no cover - stage 0 proves one exists
+                raise RuntimeError("internal error: lost the optimal family")
+    finally:
+        first_of_size = None  # it reaches itself through its closure: break that cycle
     return _result(config, prop, vals, best_indices, proven, stage_nodes)
 
 
@@ -385,16 +416,18 @@ def greedy(config: SearchConfig) -> SearchResult:
     property.  proven_optimal is True only when the result size meets an
     applicable upper bound, which certifies it as a true maximum."""
     prop, vals, seed = _setup(config)
-    state = _State(prop)
-    for i in seed:
-        if not state.fits(vals[i]):  # pragma: no cover - seed was verified
+    excl = _exclusions(config.lattice, prop, vals, 0)  # each pair comes up once
+    chosen: list[int] = []
+    cands = (1 << len(vals)) - 1  # the points that fit the chosen ones
+    for j in seed:
+        if not cands >> j & 1:  # pragma: no cover - seed was verified
             raise RuntimeError("internal error: verified seed failed to load")
-        state.push(vals[i])
-    chosen = set(seed)
-    for i in range(len(vals)):  # i is in chosen only as a seed point
-        if i not in chosen and state.fits(vals[i]):
-            state.push(vals[i])
-            chosen.add(i)
+        cands &= ~(excl(chosen, j) | 1 << j)
+        chosen.append(j)
+    while cands:  # by heredity, the next point of the canonical scan
+        j = (cands & -cands).bit_length() - 1
+        cands &= ~(excl(chosen, j) | 1 << j)
+        chosen.append(j)
     proven = len(chosen) >= _bound_cap(config.lattice, prop)
     return _result(config, prop, vals, sorted(chosen), proven, len(vals) - len(seed))
 

@@ -7,6 +7,7 @@ where another family of the same size survives elsewhere in the tree.
 
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -35,7 +36,10 @@ CANC = "cancellative"
 # strongly cancellative before it stopped at the bounds, recovering and
 # cancellative with candidate lists (7 s and 29 s there).  b:8 strongly
 # cancellative comes from the search with symmetry pruning and matches a
-# run without it (27 s), as do the d:2,2,3,2 and d:2,2,3,3 rows.
+# run without it (27 s), as do the d:2,2,3,2 and d:2,2,3,3 rows.  d:4^4
+# strongly cancellative and the d:5^3 rows of SLOW_OPTIMA come from the
+# search that tested candidates one by one (13.6 s, 10.4 s and 8.1 s), and
+# the bit-parallel search finds the same witnesses.
 OPTIMA = {
     ("b:2", CANC): (3, (1, 2, 3)),
     ("b:2", SC): (2, (0, 1)),
@@ -81,6 +85,8 @@ OPTIMA = {
     ("d:4^3", CANC): (8, (15, 27, 30, 39, 45, 51, 60, 63)),
     ("d:4^3", SC): (5, (3, 11, 21, 38, 52)),
     ("d:4^3", REC): (5, (3, 11, 21, 38, 52)),
+    ("d:4^4", SC): (16, (15, 27, 39, 51, 78, 90, 102, 114,
+                         141, 153, 165, 177, 204, 216, 228, 240)),
     # a stage that used a generator moving points below the stage's point
     # into its suffix would miss these optima and return 5
     ("d:2,2,3,2", CANC): (6, (5, 9, 16, 19, 20, 23)),
@@ -88,17 +94,36 @@ OPTIMA = {
 }
 
 
+# Rows of several seconds each, run only when LATSETS_SLOW_TESTS is set.
+SLOW_OPTIMA = {
+    ("d:5^3", SC): (7, (13, 39, 57, 65, 71, 87, 102)),
+    ("d:5^3", REC): (7, (13, 39, 57, 65, 71, 87, 102)),
+}
+SLOW = pytest.mark.skipif(not os.environ.get("LATSETS_SLOW_TESTS"),
+                          reason="set LATSETS_SLOW_TESTS=1 to run the slow pins")
+
+
 def _indices(result, points) -> tuple:
     index = {p: i for i, p in enumerate(points)}
     return tuple(index[p] for p in result.best_set.points)
 
 
-@pytest.mark.parametrize("spec,prop", sorted(OPTIMA))
-def test_pinned_optimum(spec, prop):
+def _check_optimum(spec, prop, expected):
     lattice = parse_lattice_spec(spec)
     result = exact_max(SearchConfig(lattice, prop))
     assert result.proven_optimal
-    assert (result.best_size, _indices(result, enumerate_lattice(lattice))) == OPTIMA[spec, prop]
+    assert (result.best_size, _indices(result, enumerate_lattice(lattice))) == expected
+
+
+@pytest.mark.parametrize("spec,prop", sorted(OPTIMA))
+def test_pinned_optimum(spec, prop):
+    _check_optimum(spec, prop, OPTIMA[spec, prop])
+
+
+@SLOW
+@pytest.mark.parametrize("spec,prop", sorted(SLOW_OPTIMA))
+def test_slow_pinned_optimum(spec, prop):
+    _check_optimum(spec, prop, SLOW_OPTIMA[spec, prop])
 
 
 def lex_first_maximum(lattice, prop) -> tuple:
@@ -134,7 +159,7 @@ def test_every_bound_is_sound(monkeypatch):
     # exact search stops once it meets the smallest bound, so a bound below
     # the optimum would go unnoticed by the search itself: switch the stop
     # off for the random lattices, and use the pinned optima for the rest
-    for (spec, prop), (optimum, _) in OPTIMA.items():
+    for (spec, prop), (optimum, _) in {**OPTIMA, **SLOW_OPTIMA}.items():
         for report in applicable_bounds(parse_lattice_spec(spec), prop):
             assert math.floor(report.upper_bound) >= optimum, (spec, prop, report)
     monkeypatch.setattr(latsets.search, "applicable_bounds", lambda *args: [])

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import random
 import tracemalloc
 
@@ -11,6 +13,7 @@ from latsets import (
     SearchResult,
     block_construction_bn,
     dumps_set_file,
+    enumerate_lattice,
     exact_max,
     exhaustive_max,
     greedy,
@@ -20,7 +23,7 @@ from latsets import (
 )
 
 from latsets.lattice import enumerate_masks
-from latsets.search import _symmetries
+from latsets.search import _CACHE_BITS, _exclusions, _symmetries
 from oracles import random_lattice
 
 SC = "strongly_cancellative"
@@ -144,12 +147,12 @@ def test_bound_beyond_float_range_does_not_stop_search():
 
 def test_search_memory_per_point():
     # search holds one int per lattice point, not a Point per point, and
-    # places a seed by its mixed-radix index, not through a table of points.
-    # Greedy is left out with this seed: its state holds the |S|^2 meet and
-    # join values of the 128-point seed, more than the points themselves.
+    # places a seed by its mixed-radix index, not through a table of points;
+    # greedy caches no exclusion set, so the 128-point seed adds little
     lattice = parse_lattice_spec("b:14")
     seed = block_construction_bn(14)
-    for kw in ({"mode": "greedy"}, {"mode": "exact", "node_budget": 50},
+    for kw in ({"mode": "greedy"}, {"mode": "greedy", "seed_set": seed},
+               {"mode": "exact", "node_budget": 50},
                {"mode": "exact", "node_budget": 50, "seed_set": seed}):
         config = SearchConfig(lattice, SC, **kw)
         tracemalloc.start()
@@ -341,48 +344,90 @@ def test_search_lattice_too_large():
         exact_max(SearchConfig(ChainProductLattice((2,) * 30), SC))
 
 
-def _snapshot(state) -> tuple:
-    """Copies of the members and of every value set of a search state."""
-    sets = [getattr(state, name, None)
-            for name in ("pair_meets", "pair_joins", "meet_sets", "join_sets")]
-    assert any(s is not None for s in sets), "no value set found on the state"
-    copies = tuple(
-        None if s is None else set(s) if isinstance(s, set) else [set(x) for x in s]
-        for s in sets)
-    return list(state.members), copies
+def _family_fits(lattice, points, prop):
+    return lambda family: satisfies(PointSet(lattice, tuple(points[i] for i in family)), prop)
 
 
-def test_incremental_state_matches_verifier():
-    # random push/pop walk: acceptance by the incremental state must equal
-    # re-verifying the would-be family from scratch
-    from latsets import PointSet, enumerate_lattice
-    from latsets.lattice import mask_codec
-    from latsets.search import _State
+def _random_family(rng, n, fits, size) -> list:
+    """A valid family of at most `size` point indices, in random order."""
+    family = []
+    for i in rng.sample(range(n), n):
+        if len(family) < size and fits(family + [i]):
+            family.append(i)
+    return family
 
+
+def test_exclusions_match_verifier():
+    # for a valid family F and a point j that fits it, a point k that fits
+    # F stays a candidate exactly when F + {j, k} is valid: with the cache
+    # of exact search, one emptied every three entries, and none.  F is
+    # random on b:4 and d:3,3,2; on b:5, where recovering families of four
+    # points exist, F runs over every pair, so that quads decide some k.
     rng = random.Random(31415)
-    for lattice in (ChainProductLattice.boolean(4), ChainProductLattice((3, 3, 2))):
+    for spec, props in (("b:4", (CANC, SC, REC)), ("d:3,3,2", (CANC, SC, REC)),
+                        ("b:5", (REC,))):
+        lattice = parse_lattice_spec(spec)
         points = enumerate_lattice(lattice)
-        encode, _ = mask_codec(lattice)
-        vals = [encode(p) for p in points]
+        vals = enumerate_masks(lattice)
+        n = len(points)
+        for prop in props:
+            fits = _family_fits(lattice, points, prop)
+            variants = [_exclusions(lattice, prop, vals, bits)
+                        for bits in (_CACHE_BITS, 3 * (n + 1024), 0)]
+            families = ([list(pair) for pair in itertools.combinations(range(n), 2)]
+                        if spec == "b:5" else
+                        [_random_family(rng, n, fits, rng.randint(0, 5)) for _ in range(60)])
+            for family in families:
+                cands = [k for k in range(n) if k not in family and fits(family + [k])]
+                if not cands:
+                    continue
+                j = rng.choice(cands)
+                expected = [k for k in cands if k != j and fits(family + [j, k])]
+                for excl in variants:
+                    excluded = excl(family, j)
+                    kept = [k for k in cands if k != j and not excluded >> k & 1]
+                    assert kept == expected, (lattice, prop, family, j)
+
+
+def test_greedy_matches_naive_scan():
+    # greedy keeps the seed, then each point in canonical order that keeps
+    # the family valid: the same scan with the verifier, seeded or not
+    rng = random.Random(2718)
+    tried = 0
+    while tried < 10:
+        lattice = random_lattice(rng, max_k=4, max_l=4)
+        if lattice.size > 64:
+            continue
+        tried += 1
+        points = enumerate_lattice(lattice)
+        n = len(points)
         for prop in (CANC, SC, REC):
-            state = _State(prop)
-            members = []
-            for _ in range(500):
-                if members and rng.random() < 0.35:
-                    state.pop()
-                    members.pop()
-                    continue
-                idx = rng.randrange(len(points))
-                if points[idx] in members:
-                    continue
-                candidate = PointSet(lattice, tuple(members + [points[idx]]))
-                expected = satisfies(candidate, prop)
-                before = _snapshot(state)
-                assert state.fits(vals[idx]) == expected
-                assert _snapshot(state) == before  # fits changes nothing
-                if expected:
-                    state.push(vals[idx])
-                    members.append(points[idx])
+            fits = _family_fits(lattice, points, prop)
+            seed = _random_family(rng, n, fits, rng.randint(1, 4))
+            for seed_set in (None, PointSet(lattice, tuple(points[i] for i in seed))):
+                chosen = [] if seed_set is None else list(seed)
+                for i in range(n):
+                    if i not in chosen and fits(chosen + [i]):
+                        chosen.append(i)
+                result = greedy(SearchConfig(lattice, prop, mode="greedy", seed_set=seed_set))
+                assert result.best_set.points == tuple(points[i] for i in sorted(chosen))
+                assert result.nodes_explored == n - (0 if seed_set is None else len(seed))
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # reference counting alone frees what a search builds; a cycle would
+    # keep it, and all it holds, until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        lattice = parse_lattice_spec("d:3,3,2")
+        for prop in (CANC, SC, REC):
+            for kw in ({"mode": "exact"}, {"mode": "exact", "node_budget": 5},
+                       {"mode": "greedy"}):
+                run_search(SearchConfig(lattice, prop, **kw))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_budget_with_threads():
