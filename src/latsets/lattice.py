@@ -299,15 +299,24 @@ def mask_codec(lattice: ChainProductLattice) -> tuple[Callable, Callable]:
 # Lattice spec strings: b:<n> | d:<l1>,<l2>[,...] | d:<l>^<k>
 # ---------------------------------------------------------------------------
 
+def _decimal(text: str) -> int:
+    """The integer written as ASCII decimal digits; int() alone also takes
+    signs, inner underscores, surrounding spaces and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_lattice_spec(spec: str) -> ChainProductLattice:
-    """Parse a lattice spec string such as "b:4", "d:3,5" or "d:3^4"."""
+    """Parse a lattice spec string such as "b:4", "d:3,5" or "d:3^4"; its
+    numbers are ASCII decimal digits."""
     text = spec.strip().lower()
     if ":" not in text:
         raise ValueError(f"bad lattice spec {spec!r}: expected b:<n> or d:<lengths>")
     kind, _, rest = text.partition(":")
     if kind == "b":
         try:
-            n = int(rest)
+            n = _decimal(rest)
         except ValueError:
             raise ValueError(f"bad lattice spec {spec!r}: b: needs an integer") from None
         return ChainProductLattice.boolean(n)
@@ -315,12 +324,12 @@ def parse_lattice_spec(spec: str) -> ChainProductLattice:
         if "^" in rest:
             base, _, exp = rest.partition("^")
             try:
-                l, k = int(base), int(exp)
+                l, k = _decimal(base), _decimal(exp)
             except ValueError:
                 raise ValueError(f"bad lattice spec {spec!r}: d:<l>^<k> needs integers") from None
             return ChainProductLattice.chain_power(l, k)
         try:
-            lengths = tuple(int(part) for part in rest.split(","))
+            lengths = tuple(_decimal(part) for part in rest.split(","))
         except ValueError:
             raise ValueError(f"bad lattice spec {spec!r}: d: needs integer lengths") from None
         return ChainProductLattice(lengths)

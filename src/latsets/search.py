@@ -35,9 +35,12 @@ cancellative and recovering; for recovering also k&j equal to a pair
 meet of F, or k&z = j&y for z != y in F, and the join duals.  Meet and
 join act per chain, so each such set is a product set, an AND of slices
 (the points whose digit on one chain is ==, >= or <= a value).  A child
-then costs O(|F|) bitset operations (recovering O(|F|^2)), whatever the
-number of candidates.  Exact search caches the sets under int keys;
-greedy, which meets each pair once, builds them afresh.
+costs at most O(|F|) bitset operations (recovering O(|F|^2)), whatever
+the number of candidates, and exact search stops filtering once fewer
+candidates remain than its target still needs: the O(|F|) triple sets
+come first, and recovering's quad sets only when the triples leave
+enough.  Exact search caches the sets under int keys; greedy, which meets
+each pair once, builds them afresh.
 
 After a completed search the witness is a c-pruned rerun that returns the
 canonically first family of the optimal size; nodes_explored counts the
@@ -202,12 +205,17 @@ def _symmetries(lattice: ChainProductLattice, prop: str) -> list[Callable]:
 
 
 def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
-                cache_bits: int) -> Callable[[list, int], int]:
-    """excl(F, j): the bitset of the points k for which F + {j, k} violates
-    the property, given valid F + {j} and F + {k} (F and j as indices).
-    Such a violation involves j and k, so it lies in a union of product
-    sets, ANDs of per-chain slices.  excl keeps those sets under int keys
-    in a cache that it empties once it would pass about cache_bits bits."""
+                cache_bits: int) -> Callable[[list, int, int, int], int]:
+    """excl(F, j, cands, need): cands less the points k for which F + {j, k}
+    violates the property, given valid F + {j} and F + {k} (F, j and cands
+    as indices and an index bitset).  Such a violation involves j and k, so
+    it lies in a union of product sets, ANDs of per-chain slices.  excl
+    removes the triple sets first, newest member of F first, and may stop
+    as soon as fewer than need points remain: exclusions only grow, so the
+    full filter would leave fewer than need too.  Recovering's quad sets
+    follow only when the triples leave at least need points.  excl keeps
+    the sets under int keys in a cache that it empties once it would pass
+    about cache_bits bits."""
     n = len(vals)
     full = (1 << n) - 1
     # per chain of l > 1 elements: its mask block and, by value x, the
@@ -234,65 +242,71 @@ def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
             x &= eq[vs] if vs != zs else le[zs] if join else ge[zs]
         return x
 
-    def split(b: int, j: int, join: bool) -> int:
-        """{k : k&b = k&j} (join: k|b = k|j): on each chain where b and j
-        differ, k's digit is at most their min (join: at least their max)."""
-        x = full
-        v = b | j if join else b & j
+    def triples(b: int, j: int) -> int:
+        """The points k that violate the property with b and j, in one pass
+        over the chains: k&b = j&b, k&j = b&j and k&b = k&j (no condition
+        where b and j agree), and for all but cancellative the join duals."""
+        mb = mj = ms = jb = jj = js_ = full
         for block, eq, ge, le in chains:
-            if (b ^ j) & block:
-                vs = (v & block).bit_count()
-                x &= ge[vs] if join else le[vs]
-        return x
-
-    def build(key: int) -> int:
-        """The set of key (hi << offset | lo) << 2 | kind: for kind 0, the
-        points k that violate the property with the points hi and lo; for
-        kind 1, {k : k&lo = hi}; for kind 2, {k : k|lo = hi}."""
-        kind = key & 3
-        hi, lo = key >> offset + 2, key >> 2 & (1 << offset) - 1
-        if kind:
-            return product(lo, hi, kind == 2)
-        x = product(hi, hi & lo, False) | product(lo, hi & lo, False) | split(hi, lo, False)
-        if prop != CANCELLATIVE:
-            x |= product(hi, hi | lo, True) | product(lo, hi | lo, True) | split(hi, lo, True)
-        return x
+            bs = (b & block).bit_count()
+            js = (j & block).bit_count()
+            mb &= ge[bs] if bs <= js else eq[js]
+            mj &= ge[js] if js <= bs else eq[bs]
+            jb &= le[bs] if bs >= js else eq[js]
+            jj &= le[js] if js >= bs else eq[bs]
+            if bs != js:
+                ms &= le[min(bs, js)]
+                js_ &= ge[max(bs, js)]
+        x = mb | mj | ms
+        return x if prop == CANCELLATIVE else x | jb | jj | js_
 
     cache: dict[int, int] = {}
+    get = cache.get
     limit = cache_bits // (n + 1024)  # an entry costs about 128 bytes besides its set
 
-    def lookup(key: int) -> int:
-        s = cache.get(key)
-        if s is None:
-            if len(cache) >= limit:
-                cache.clear()
-            s = cache[key] = build(key)
+    def miss(key: int) -> int:
+        """Build the set of key (hi << offset | lo) << 2 | kind and cache it:
+        for kind 0, the points k that violate the property with the points
+        hi and lo; for kind 1, {k : k&lo = hi}; for kind 2, {k : k|lo = hi}."""
+        kind = key & 3
+        hi, lo = key >> offset + 2, key >> 2 & (1 << offset) - 1
+        if len(cache) >= limit:
+            cache.clear()
+        s = cache[key] = product(lo, hi, kind == 2) if kind else triples(hi, lo)
         return s
 
-    def excl(family: list, j: int) -> int:
+    def excl(family: list, j: int, cands: int, need: int) -> int:
+        # no set is empty (a triple set holds j, a product set v), so `or`
+        # calls miss on misses only
         jv = vals[j]
-        fam = [vals[b] for b in family]
-        x = 0
-        for b in fam:  # triples {b, j, k}
-            x |= lookup((b << offset | jv) << 2)
+        for b in reversed(family):  # triples {b, j, k}
+            key = (vals[b] << offset | jv) << 2
+            cands &= ~(get(key) or miss(key))
+            if cands.bit_count() < need:
+                return cands
         if prop == RECOVERING:  # quads: k&j is a pair meet of F, or k&z = j&y
+            fam = [vals[b] for b in family]
             for z in fam:
                 for y in fam:
                     if y != z:
                         v = jv & y
                         if v & z == v:
-                            x |= lookup((v << offset | z) << 2 | 1)
+                            key = (v << offset | z) << 2 | 1
+                            cands &= ~(get(key) or miss(key))
                         v = jv | y
                         if v | z == v:
-                            x |= lookup((v << offset | z) << 2 | 2)
+                            key = (v << offset | z) << 2 | 2
+                            cands &= ~(get(key) or miss(key))
             for a, b in combinations(fam, 2):
                 v = a & b
                 if v & jv == v:
-                    x |= lookup((v << offset | jv) << 2 | 1)
+                    key = (v << offset | jv) << 2 | 1
+                    cands &= ~(get(key) or miss(key))
                 v = a | b
                 if v | jv == v:
-                    x |= lookup((v << offset | jv) << 2 | 2)
-        return x
+                    key = (v << offset | jv) << 2 | 2
+                    cands &= ~(get(key) or miss(key))
+        return cands
 
     return excl
 
@@ -366,7 +380,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
             elif stopped:
                 found = None
             else:
-                rest = cands & ~excl(chosen, j)
+                rest = excl(chosen, j, cands, target - size - 1)
                 chosen.append(j)
                 found = (None if size + 1 + rest.bit_count() < target
                          else first_of_size(rest, target, child_images))
@@ -422,11 +436,11 @@ def greedy(config: SearchConfig) -> SearchResult:
     for j in seed:
         if not cands >> j & 1:  # pragma: no cover - seed was verified
             raise RuntimeError("internal error: verified seed failed to load")
-        cands &= ~(excl(chosen, j) | 1 << j)
+        cands = excl(chosen, j, cands & ~(1 << j), 0)
         chosen.append(j)
     while cands:  # by heredity, the next point of the canonical scan
         j = (cands & -cands).bit_length() - 1
-        cands &= ~(excl(chosen, j) | 1 << j)
+        cands = excl(chosen, j, cands & ~(1 << j), 0)
         chosen.append(j)
     proven = len(chosen) >= _bound_cap(config.lattice, prop)
     return _result(config, prop, vals, sorted(chosen), proven, len(vals) - len(seed))

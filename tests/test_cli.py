@@ -174,6 +174,15 @@ def test_search_deterministic_output(capsys):
     assert out1 == out2
 
 
+def test_malformed_lattice_spec_exits_1(capsys):
+    # int() would read b:1_0 as b:10 and the fullwidth digit as 5
+    for spec in ("b:1_0", "b:\uff15", "d:3,+4", "b: 4", "d:3^ 2"):
+        code, out, err = run_cli(capsys, "bounds", "--lattice", spec,
+                                 "--property", "recovering")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad lattice spec"), spec
+
+
 def test_bounds_table(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--lattice", "b:7",
                            "--property", "strongly-cancellative")

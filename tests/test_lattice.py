@@ -233,7 +233,9 @@ def test_lattice_spec_strings():
     assert parse_lattice_spec("  B:2 ") == ChainProductLattice((2, 2))
     assert format_lattice_spec(ChainProductLattice((2, 2, 2))) == "b:3"
     assert format_lattice_spec(ChainProductLattice((3, 5))) == "d:3,5"
-    for bad in ["x:3", "b:", "b:x", "d:3^", "d:", "d:3,,4", "4", "b:0", "d:0"]:
+    for bad in ["x:3", "b:", "b:x", "d:3^", "d:", "d:3,,4", "4", "b:0", "d:0",
+                # int() reads each of these as a number
+                "b:1_0", "b:\uff15", "d:3,+4", "b: 4", "d:3^ 2"]:
         with pytest.raises(ValueError):
             parse_lattice_spec(bad)
     # round trip

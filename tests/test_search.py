@@ -384,9 +384,42 @@ def test_exclusions_match_verifier():
                 j = rng.choice(cands)
                 expected = [k for k in cands if k != j and fits(family + [j, k])]
                 for excl in variants:
-                    excluded = excl(family, j)
-                    kept = [k for k in cands if k != j and not excluded >> k & 1]
-                    assert kept == expected, (lattice, prop, family, j)
+                    kept = excl(family, j, (1 << n) - 1, 0)
+                    assert [k for k in cands if k != j and kept >> k & 1] == expected, (
+                        lattice, prop, family, j)
+
+
+def test_exclusions_stop_early_only_below_need():
+    # excl(F, j, cands, need) may stop once fewer than need candidates
+    # remain: its result holds the full filter's, and is the full filter's
+    # unless it has fewer than need points, so exact search prunes it
+    # exactly when it would prune the full result
+    rng = random.Random(16180)
+    stopped = 0
+    for spec in ("b:4", "d:3,3,2", "b:5"):
+        lattice = parse_lattice_spec(spec)
+        points = enumerate_lattice(lattice)
+        vals = enumerate_masks(lattice)
+        n = len(points)
+        for prop in (CANC, SC, REC):
+            fits = _family_fits(lattice, points, prop)
+            excl = _exclusions(lattice, prop, vals, _CACHE_BITS)
+            for _ in range(40):
+                family = _random_family(rng, n, fits, rng.randint(0, 5))
+                fitting = [k for k in range(n) if k not in family and fits(family + [k])]
+                if not fitting:
+                    continue
+                j = rng.choice(fitting)
+                cands = sum(1 << k for k in fitting if k != j and rng.random() < 0.8)
+                full = sum(1 << k for k in fitting
+                           if cands >> k & 1 and fits(family + [j, k]))
+                for need in range(5):
+                    kept = excl(family, j, cands, need)
+                    assert kept & full == full, (lattice, prop, family, j, need)
+                    assert kept == full or kept.bit_count() < need, (
+                        lattice, prop, family, j, need)
+                    stopped += kept != full
+    assert stopped  # some calls did stop early
 
 
 def test_greedy_matches_naive_scan():
