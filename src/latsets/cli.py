@@ -25,7 +25,7 @@ from .construct import (
     product_composition,
 )
 from .entropy import entropy
-from .lattice import Point, format_lattice_spec, parse_lattice_spec
+from .lattice import Point, _decimal, format_lattice_spec, parse_lattice_spec
 from .search import DEFAULT_NODE_BUDGET, SearchConfig, run_search
 from .setfile import dumps_set_file, load_set_file, save_set_file
 from .verify import (
@@ -58,16 +58,26 @@ def _print_json(data) -> None:
     print(json.dumps(_json_ready(data), indent=2))
 
 
+def _integer(text: str) -> int:
+    """argparse type of the integer options: ASCII decimal digits only, so
+    "1_0", "+4" and " 4" are usage errors rather than numbers."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected decimal digits, got {text!r}") from None
+
+
 def _parse_range(text: str) -> range:
-    """Inclusive integer range: "2..8" or a single value "4"."""
+    """Inclusive integer range: "2..8" or a single value "4", in ASCII
+    decimal digits."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            return range(int(lo), int(hi) + 1)
+            return range(_decimal(lo), _decimal(hi) + 1)
         except ValueError:
             raise ValueError(f"bad range {text!r}; expected <lo>..<hi>") from None
     try:
-        value = int(text)
+        value = _decimal(text)
     except ValueError:
         raise ValueError(f"bad range {text!r}; expected <lo>..<hi> or <n>") from None
     return range(value, value + 1)
@@ -240,11 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a family and write it as a set file")
     p.add_argument("--family", required=True,
                    choices=["block-bn", "diagonal", "compose", "power"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--l1", type=int)
-    p.add_argument("--l2", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--l1", type=_integer)
+    p.add_argument("--l2", type=_integer)
+    p.add_argument("--l", type=_integer)
+    p.add_argument("--k", type=_integer)
     p.add_argument("--base", help="set file with the composition base")
     p.add_argument("-o", "--out", help="output set file (default: stdout)")
     p.set_defaults(handler=cmd_construct)
@@ -260,9 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True,
                    choices=["cancellative", "strongly-cancellative", "recovering"])
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_integer, default=1,
                    help="validated (>= 1) but inert: search runs on one thread")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_integer, default=None)
     p.add_argument("--seed", help="set file used as the initial incumbent")
     p.add_argument("--progress", type=int, default=0, metavar="NODES",
                    help="report to stderr every NODES nodes (0 = off)")
@@ -285,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="construction size vs bound over a range")
     p.add_argument("--family", required=True, choices=["sc-bn", "dlk"])
     p.add_argument("--n", help="range for sc-bn, e.g. 2..8")
-    p.add_argument("--l", type=int, help="chain length for dlk")
+    p.add_argument("--l", type=_integer, help="chain length for dlk")
     p.add_argument("--k", help="range for dlk, e.g. 2..6")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(handler=cmd_table)

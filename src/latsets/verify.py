@@ -8,12 +8,17 @@ distinct points have a1 ^ a2 = a3 ^ a4 or a1 v a2 = a3 v a4.
 Two unordered pairs of distinct elements either share a point (a triple
 condition) or are disjoint (a quad condition), so joint injectivity of the
 unordered-pair meet/join maps is exactly the recovering condition.  Every
-check is O(|S|^2) in time and memory.  The per-pair work runs in C: a row
-of values is built with map(op, repeat(a), ...) and tested with set,
-Counter and list.index, so Python-level loops run per row, per distinct
-value or on rows that hold a collision.  find_violation passes the best
-witness found so far to each later search, which stops once it can no
-longer beat it.
+check takes O(|S|^2) time in the worst case.  The per-pair work runs in C:
+a row of values is built with map(op, repeat(a), ...) and tested with
+set, Counter and list.index, so Python-level loops run per row, per
+distinct value or on rows that hold a collision.
+The triple searches hold one row at a time; is_recovering holds the pair
+values seen so far.  find_violation's quad search walks the quad's first
+pair in order and finds the rest from bitsets over the members, one per
+mask bit, so an early quad costs little time and no table of pair
+values; only after about |S|^2 / 4 bitset operations without one does it
+count every pair value.  find_violation passes the best witness found so
+far to each later search, which stops once it can no longer beat it.
 
 Families of size <= 2 satisfy every property vacuously: the definitions
 quantify over three or four distinct points.
@@ -24,6 +29,7 @@ from __future__ import annotations
 import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, islice, repeat
 from typing import Callable, Optional
 
@@ -161,8 +167,78 @@ def _min_triple(vals: list, op: Callable, bound: Optional[tuple] = None):
 
 def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
               triple_free: bool = False):
-    """Lexicographically first (a1, a2, a3, a4), pairs disjoint, equal values,
+    """Lexicographically first (p0, p1, q0, q1), pairs disjoint, equal values,
     or None when there is none that sorts before the bound.
+
+    The first pair (p0, p1) runs over the pairs in lex order, up to the
+    bound's first two indices.  Its meet v lies below both other points of
+    the quad, so those are members above p0, other than p1, whose masks
+    hold every bit of v: the AND of has[t] over the bits t of v.  Such a
+    q0 meets a later such q1 in exactly v iff q1 lacks every bit of
+    vals[q0] & ~v, so q0's partners are the AND of lack[t] over those
+    bits.  The first q0, ascending, with a partner and its first partner
+    complete the quad.  A join is the meet of complemented masks
+    (a | b = v iff ~a & ~b = ~v).  has[t] and lack[t] are bitsets over
+    the members, so the work follows the answer, not the |S|^2 / 2 pair
+    values; after about |S|^2 / 4 bitset operations without a quad,
+    _min_quad_by_count decides instead.
+    """
+    n = len(vals)
+    if n < 4:
+        return None
+    full = reduce(operator.or_, vals)
+    masks = vals if op is operator.and_ else [full ^ a for a in vals]
+    # the digits of bit t in the masks' binary strings, last member first,
+    # read as a number: has[t] holds bit i iff masks[i] holds bit t; both
+    # are keyed by the bit 1 << t
+    width = full.bit_length()
+    columns = zip(*map(f"{{:0{width}b}}".format, reversed(masks)))
+    everyone = (1 << n) - 1
+    has, lack = {}, {}
+    for t, column in zip(range(width - 1, -1, -1), columns):
+        has[1 << t] = int("".join(column), 2)
+        lack[1 << t] = everyone ^ has[1 << t]
+
+    budget = n * n // 4
+    for p0 in range(n):
+        above = everyone ^ ((2 << p0) - 1)
+        for p1 in range(p0 + 1, n):
+            if bound is not None and (p0, p1) > bound[:2]:
+                return None
+            if budget < 0:
+                return _min_quad_by_count(vals, op, bound, triple_free)
+            v = masks[p0] & masks[p1]
+            cand = above ^ (1 << p1)
+            x = v
+            while x:
+                low = x & -x
+                cand &= has[low]
+                x ^= low
+                budget -= 1
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                q0 = low.bit_length() - 1
+                partners = cand
+                x = masks[q0] & ~v
+                while x and partners:
+                    low = x & -x
+                    partners &= lack[low]
+                    x ^= low
+                    budget -= 1
+                if partners:
+                    quad = (p0, p1, q0, (partners & -partners).bit_length() - 1)
+                    if bound is None or quad < bound:
+                        return quad, op(vals[p0], vals[p1])
+                    return None
+            budget -= 1
+    return None
+
+
+def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None,
+                       triple_free: bool = False):
+    """_min_quad by counting every pair value: O(|S|^2) time and memory
+    whatever the answer.
 
     A quad (p0, p1, q0, q1) sorts before a bound (i, b1, b2) iff
     (p0, p1, q0) < (i, b1, b2), so only pairs (p0, p1) up to the bound's

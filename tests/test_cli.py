@@ -183,6 +183,24 @@ def test_malformed_lattice_spec_exits_1(capsys):
         assert err.startswith("error: bad lattice spec"), spec
 
 
+def test_malformed_integer_options_exit_1(capsys):
+    # int() would read 1_0 as 10, +4 as 4 and the fullwidth digit as 5
+    for argv in (["table", "--family", "sc-bn", "--n", "1_0..1_1"],
+                 ["table", "--family", "sc-bn", "--n", "2..\uff15"],
+                 ["table", "--family", "dlk", "--l", "3", "--k", "+4"],
+                 ["table", "--family", "dlk", "--l", " 3", "--k", "4"],
+                 ["construct", "--family", "block-bn", "--n", "1_0"],
+                 ["construct", "--family", "diagonal", "--l1", "3", "--l2", "+3"],
+                 ["construct", "--family", "power", "--l", "3", "--k", "\uff14"],
+                 ["search", "--lattice", "b:3", "--property", "recovering",
+                  "--node-budget", "1_0"],
+                 ["search", "--lattice", "b:3", "--property", "recovering",
+                  "--threads", "+1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "error:" in err, argv
+
+
 def test_bounds_table(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--lattice", "b:7",
                            "--property", "strongly-cancellative")

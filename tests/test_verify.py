@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -95,6 +96,19 @@ def test_find_violation_block_bn20():
     assert v == Violation("MeetQuad", tuple(Point((0, 1) * 8 + t) for t in tail),
                           Point((0, 1) * 8 + (0, 0, 0, 0)))
     assert _indices(s, v) == (0, 3, 1, 2)
+
+
+def test_find_violation_memory():
+    # the quad search keeps a bitset over members per mask bit, not a
+    # count per pair value (7.2 MB by counting)
+    s = block_construction_bn(20)
+    tracemalloc.start()
+    try:
+        find_violation(s, "recovering")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def test_find_violation_power_4_8():

@@ -3,18 +3,24 @@ coordinate-tuple oracles, on chain products with chains of 1 to 7
 elements."""
 
 import math
+import operator
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import latsets.verify as verify
 from latsets import (
     PROPERTIES,
     ChainProductLattice,
     PointSet,
+    canonical_key,
+    enumerate_lattice,
     find_violation,
     pair_statistics,
     satisfies,
 )
+from latsets.lattice import mask_codec
 
 from oracles import (
     NAIVE_CHECKS,
@@ -87,3 +93,49 @@ def test_mask_verifiers_match_naive_oracles(s):
             naive = naive_pair_multiplicity(s, operation)
             assert stats.multiplicity == naive
             assert stats.max_multiplicity == max(naive.values())
+
+
+def test_min_quad_matches_full_count(monkeypatch):
+    # the bitset quad search against the full pair-value count it falls back
+    # to, with and without a bound, and find_violation against the oracle
+    fallbacks = []
+    count = verify._min_quad_by_count
+
+    def spy(*args):
+        fallbacks.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(verify, "_min_quad_by_count", spy)
+    rng = random.Random(2011)
+    lattices = [ChainProductLattice.boolean(n) for n in (4, 5, 6, 7)] + [
+        ChainProductLattice(lengths) for lengths in
+        ((3, 3, 3), (4, 4), (3, 4, 2), (5, 3), (7, 7, 7), (4, 4, 4, 4))]
+    targeted = 0
+    for trial in range(240):
+        lattice = lattices[trial % len(lattices)]
+        points = rng.sample(enumerate_lattice(lattice), min(lattice.size, rng.randint(4, 14)))
+        if trial % 3:
+            # strongly cancellative subfamilies fail late or not at all
+            kept: list = []
+            for p in points:
+                if satisfies(PointSet(lattice, tuple(kept + [p])), "strongly_cancellative"):
+                    kept.append(p)
+            points = kept
+        s = PointSet(lattice, tuple(points[:10]))
+        encode, _ = mask_codec(lattice)
+        vals = [encode(p) for p in sorted(s.points, key=canonical_key)]
+        n = len(vals)
+        for op in (operator.and_, operator.or_):
+            triple = verify._min_triple(vals, op)
+            quad = count(vals, op, None, triple is None)
+            # a quad bound ties with the first quad: MeetQuad keeps the tie
+            bounds = [None, *(found[0] for found in (triple, quad) if found)]
+            bounds += [tuple(rng.sample(range(n), k)) for k in (3, 4) if n >= k]
+            for bound in bounds:
+                before = len(fallbacks)
+                got = verify._min_quad(vals, op, bound, triple is None)
+                targeted += n >= 4 and len(fallbacks) == before
+                assert got == count(vals, op, bound, triple is None), (s, op, bound)
+        assert find_violation(s, "recovering") == naive_find_violation(s, "recovering")
+    # both the bitset search and its fallback decided some of the cases
+    assert targeted > 100 and len(fallbacks) > 100
