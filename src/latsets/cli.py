@@ -67,6 +67,12 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected decimal digits, got {text!r}") from None
 
 
+def _signed_integer(text: str) -> int:
+    """_integer with an optional leading "-", for an option whose negative
+    values are rejected later with a message of their own."""
+    return -_integer(text[1:]) if text.startswith("-") else _integer(text)
+
+
 def _parse_range(text: str) -> range:
     """Inclusive integer range: "2..8" or a single value "4", in ASCII
     decimal digits."""
@@ -274,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="validated (>= 1) but inert: search runs on one thread")
     p.add_argument("--node-budget", type=_integer, default=None)
     p.add_argument("--seed", help="set file used as the initial incumbent")
-    p.add_argument("--progress", type=int, default=0, metavar="NODES",
+    p.add_argument("--progress", type=_signed_integer, default=0, metavar="NODES",
                    help="report to stderr every NODES nodes (0 = off)")
     p.add_argument("--out", help="also write the result JSON to this file")
     p.set_defaults(handler=cmd_search)

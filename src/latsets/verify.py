@@ -16,8 +16,8 @@ The triple searches hold one row at a time; is_recovering holds the pair
 values seen so far.  find_violation's quad search walks the quad's first
 pair in order and finds the rest from bitsets over the members, one per
 mask bit, so an early quad costs little time and no table of pair
-values; only after about |S|^2 / 4 bitset operations without one does it
-count every pair value.  find_violation passes the best witness found so
+values; only after 2 |S| bitset operations without one does it count
+every pair value.  find_violation passes the best witness found so
 far to each later search, which stops once it can no longer beat it.
 
 Families of size <= 2 satisfy every property vacuously: the definitions
@@ -175,13 +175,18 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
     the quad, so those are members above p0, other than p1, whose masks
     hold every bit of v: the AND of has[t] over the bits t of v.  Such a
     q0 meets a later such q1 in exactly v iff q1 lacks every bit of
-    vals[q0] & ~v, so q0's partners are the AND of lack[t] over those
+    vals[q0] & ~v, so q0's partners are the AND of ~has[t] over those
     bits.  The first q0, ascending, with a partner and its first partner
     complete the quad.  A join is the meet of complemented masks
-    (a | b = v iff ~a & ~b = ~v).  has[t] and lack[t] are bitsets over
-    the members, so the work follows the answer, not the |S|^2 / 2 pair
-    values; after about |S|^2 / 4 bitset operations without a quad,
-    _min_quad_by_count decides instead.
+    (a | b = v iff ~a & ~b = ~v).  has[t] is a bitset over the members,
+    so the work follows the answer, not the |S|^2 / 2 pair values.
+
+    Without an early quad this costs about ten bitset operations per
+    pair, each about as long as the count spends on one pair value, so
+    after 2 |S| operations without a quad _min_quad_by_count decides
+    instead.  That is twice what any construction needs (at most
+    1.76 |S|, on power_construction(5, 4)); a quad-free family pays it and
+    the bitsets on top of the count, 1-3% of it at 512 to 1024 members.
     """
     n = len(vals)
     if n < 4:
@@ -189,17 +194,15 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
     full = reduce(operator.or_, vals)
     masks = vals if op is operator.and_ else [full ^ a for a in vals]
     # the digits of bit t in the masks' binary strings, last member first,
-    # read as a number: has[t] holds bit i iff masks[i] holds bit t; both
-    # are keyed by the bit 1 << t
+    # read as a number: has[t] holds bit i iff masks[i] holds bit t; it is
+    # keyed by the bit 1 << t
     width = full.bit_length()
     columns = zip(*map(f"{{:0{width}b}}".format, reversed(masks)))
+    has = {1 << t: int("".join(column), 2)
+           for t, column in zip(range(width - 1, -1, -1), columns)}
     everyone = (1 << n) - 1
-    has, lack = {}, {}
-    for t, column in zip(range(width - 1, -1, -1), columns):
-        has[1 << t] = int("".join(column), 2)
-        lack[1 << t] = everyone ^ has[1 << t]
 
-    budget = n * n // 4
+    budget = 2 * n
     for p0 in range(n):
         above = everyone ^ ((2 << p0) - 1)
         for p1 in range(p0 + 1, n):
@@ -210,12 +213,13 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
             v = masks[p0] & masks[p1]
             cand = above ^ (1 << p1)
             x = v
-            while x:
+            # a quad needs two of the candidates
+            while x and cand & (cand - 1):
                 low = x & -x
                 cand &= has[low]
                 x ^= low
                 budget -= 1
-            while cand:
+            while cand & (cand - 1):
                 low = cand & -cand
                 cand ^= low
                 q0 = low.bit_length() - 1
@@ -223,7 +227,7 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
                 x = masks[q0] & ~v
                 while x and partners:
                     low = x & -x
-                    partners &= lack[low]
+                    partners &= ~has[low]
                     x ^= low
                     budget -= 1
                 if partners:

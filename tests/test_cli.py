@@ -195,7 +195,13 @@ def test_malformed_integer_options_exit_1(capsys):
                  ["search", "--lattice", "b:3", "--property", "recovering",
                   "--node-budget", "1_0"],
                  ["search", "--lattice", "b:3", "--property", "recovering",
-                  "--threads", "+1"]):
+                  "--threads", "+1"],
+                 ["search", "--lattice", "b:3", "--property", "recovering",
+                  "--progress", "1_0"],
+                 ["search", "--lattice", "b:3", "--property", "recovering",
+                  "--progress", "+5"],
+                 ["search", "--lattice", "b:3", "--property", "recovering",
+                  "--progress", "-"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert "error:" in err, argv
