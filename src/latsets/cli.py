@@ -208,7 +208,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         }
     if args.anchor is not None:
         try:
-            anchor = Point(tuple(int(c) for c in args.anchor.split(",")))
+            anchor = Point(tuple(map(_decimal, args.anchor.split(","))))
         except ValueError:
             raise ValueError(f"bad anchor {args.anchor!r}; expected coords like 1,0,1,0")
         payload["anchoredEntropy"] = {"anchor": list(anchor.coords)}

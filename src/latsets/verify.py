@@ -165,8 +165,7 @@ def _min_triple(vals: list, op: Callable, bound: Optional[tuple] = None):
     return None
 
 
-def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
-              triple_free: bool = False):
+def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None):
     """Lexicographically first (p0, p1, q0, q1), pairs disjoint, equal values,
     or None when there is none that sorts before the bound.
 
@@ -209,7 +208,7 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
             if bound is not None and (p0, p1) > bound[:2]:
                 return None
             if budget < 0:
-                return _min_quad_by_count(vals, op, bound, triple_free)
+                return _min_quad_by_count(vals, op, bound)
             v = masks[p0] & masks[p1]
             cand = above ^ (1 << p1)
             x = v
@@ -239,32 +238,27 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
     return None
 
 
-def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None,
-                       triple_free: bool = False):
+def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None):
     """_min_quad by counting every pair value: O(|S|^2) time and memory
     whatever the answer.
 
     A quad (p0, p1, q0, q1) sorts before a bound (i, b1, b2) iff
     (p0, p1, q0) < (i, b1, b2), so only pairs (p0, p1) up to the bound's
     first two indices can open one, and only their values are counted over
-    all pairs.  When the triple search of the same operation found nothing
-    (triple_free), two pairs with equal values are disjoint: the quad is
-    the first pair whose value occurs twice, with the first later pair of
-    that value, which may start before p1.  Otherwise the pairs of each
-    value that occurs twice are indexed; the first of them with a disjoint
-    partner, found from point degrees, and its first such partner give
-    the quad of that value, and the smallest over all values wins.
+    all pairs.  The pairs of each value that occurs twice are indexed; the
+    first of them with a disjoint partner, found from point degrees, and
+    its first such partner give the quad of that value, and the smallest
+    over all values wins.
     """
     n = len(vals)
 
-    def rows(start: int = 0):
+    def rows():
         # row p0 holds the values of the pairs (p0, j), j > p0
-        for i in range(start, n):
+        for i in range(n):
             yield list(map(op, repeat(vals[i]), vals[i + 1 :]))
 
     counts: Counter = Counter()
     if bound is None:
-        heads = rows()
         for row in rows():
             counts.update(row)
     else:
@@ -274,17 +268,6 @@ def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None,
         for row in rows():
             counts.update(filter(wanted.__contains__, row))
     twice = {v for v, c in counts.items() if c > 1}
-
-    if triple_free:
-        for p0, row in enumerate(heads):
-            if twice.isdisjoint(row):
-                continue
-            v = next(filter(twice.__contains__, row))
-            for q0, later in enumerate(rows(p0 + 1), p0 + 1):
-                if v in later:
-                    quad = (p0, p0 + 1 + row.index(v), q0, q0 + 1 + later.index(v))
-                    return (quad, v) if bound is None or quad < bound else None
-        return None
 
     index = defaultdict(list)
     for p0, row in enumerate(rows()):
@@ -306,6 +289,16 @@ def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None,
     return best if best is None or bound is None or best[0] < bound else None
 
 
+_SEARCHES = (
+    (MEET_TRIPLE, _min_triple, operator.and_),
+    (JOIN_TRIPLE, _min_triple, operator.or_),
+    (MEET_QUAD, _min_quad, operator.and_),
+    (JOIN_QUAD, _min_quad, operator.or_),
+)
+# the searches of each property, a prefix of _SEARCHES
+_SEARCH_COUNT = {CANCELLATIVE: 1, STRONGLY_CANCELLATIVE: 2, RECOVERING: 4}
+
+
 def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
     """The canonical witness of failure, or None when the property holds.
 
@@ -322,23 +315,13 @@ def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
     encode, decode = mask_codec(s.lattice)
     vals = [encode(p) for p in pts]
 
-    ops = (operator.and_,) if prop == CANCELLATIVE else (operator.and_, operator.or_)
     # (indices, kind, value); the searches run in kind order and a later
     # kind replaces best only with a smaller witness, so ties keep the earlier
     best = None
-    triple_free = []
-    for kind, op in zip((MEET_TRIPLE, JOIN_TRIPLE), ops):
-        bound = best[0] if best else None
-        found = _min_triple(vals, op, bound)
-        # a search cut short by its bound proves nothing about later anchors
-        triple_free.append(found is None and bound is None)
+    for kind, search, op in _SEARCHES[: _SEARCH_COUNT[prop]]:
+        found = search(vals, op, best[0] if best else None)
         if found is not None and (best is None or found[0] < best[0]):
             best = (found[0], kind, found[1])
-    if prop == RECOVERING:
-        for kind, op, free in zip((MEET_QUAD, JOIN_QUAD), ops, triple_free):
-            found = _min_quad(vals, op, best[0] if best else None, free)
-            if found is not None:
-                best = (found[0], kind, found[1])
     if best is None:
         return None
     indices, kind, value = best
@@ -372,8 +355,7 @@ def pair_statistics(s: PointSet, operation: str) -> PairStatistics:
     # value is a since meet and join are idempotent
     members = set(vals)
     multiplicity = {decode(v): 2 * c - (v in members) for v, c in counts.items()}
-    total = s.size * s.size
-    dist = Distribution({p: c / total for p, c in multiplicity.items()})
+    dist = Distribution.from_counts(multiplicity)
     return PairStatistics(operation, multiplicity, max(multiplicity.values()), dist)
 
 
@@ -389,6 +371,6 @@ def anchored_entropy(s: PointSet, v: Point, operation: str) -> float:
     if v not in s:
         raise ValueError(f"anchor {v!r} is not in the set")
     vals, _ = _encode_set(s)
-    anchor = vals[list(s.points).index(v)]
+    anchor = vals[s.points.index(v)]
     counts = Counter(op(anchor, b) for b in vals if b != anchor)
     return entropy(Distribution.from_counts(counts))

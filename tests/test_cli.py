@@ -207,6 +207,18 @@ def test_malformed_integer_options_exit_1(capsys):
         assert "error:" in err, argv
 
 
+def test_malformed_anchor_exits_1(capsys, tmp_path):
+    # int() would read each of these as the member (1, 0, 1, 0)
+    path = tmp_path / "b4.json"
+    run_cli(capsys, "construct", "--family", "block-bn", "--n", "4", "-o", str(path))
+    code, out, _ = run_cli(capsys, "entropy", str(path), "--anchor", "1,0,1,0")
+    assert code == 0 and json.loads(out)["anchoredEntropy"]["anchor"] == [1, 0, 1, 0]
+    for anchor in ("+1,0,1,0", "1,0, 1,0", "1,0,1,0_0", "\uff11,0,1,0", "+1,0, 1,0_0"):
+        code, out, err = run_cli(capsys, "entropy", str(path), "--anchor", anchor)
+        assert (code, out) == (1, ""), anchor
+        assert "bad anchor" in err, anchor
+
+
 def test_bounds_table(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--lattice", "b:7",
                            "--property", "strongly-cancellative")

@@ -5,6 +5,7 @@ elements."""
 import math
 import operator
 import random
+import tracemalloc
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,10 +21,19 @@ from latsets import (
     pair_statistics,
     satisfies,
 )
+from latsets.construct import (
+    block_construction_bn,
+    diagonal_construction,
+    power_construction,
+    product_composition,
+)
 from latsets.lattice import mask_codec
 
 from oracles import (
     NAIVE_CHECKS,
+    _first_quad,
+    _join,
+    _meet,
     naive_find_violation,
     naive_is_cancellative,
     naive_is_strongly_cancellative,
@@ -65,8 +75,8 @@ def families(draw, max_points: int = 120):
 @example(PointSet.from_coords(ChainProductLattice((3, 3)), [
     (0, 1), (1, 0), (1, 1), (2, 0)]))
 # the JoinTriple search stops after anchor 0, behind the MeetTriple
-# (0,2,3), so the JoinQuad search may not take the joins as triple-free:
-# the JoinTriple (2,0,1) shares a point between two pairs of equal join
+# (0,2,3), but the JoinTriple (2,0,1) still shares a point between two
+# pairs of equal join, which the JoinQuad search must not take as a quad
 @example(PointSet.from_coords(ChainProductLattice((4, 2)), [
     (0, 1), (1, 1), (2, 0), (3, 0)]))
 # a chain of 16 plus 5 points: triples at most anchors, and the MeetQuad
@@ -127,15 +137,51 @@ def test_min_quad_matches_full_count(monkeypatch):
         n = len(vals)
         for op in (operator.and_, operator.or_):
             triple = verify._min_triple(vals, op)
-            quad = count(vals, op, None, triple is None)
+            quad = count(vals, op)
             # a quad bound ties with the first quad: MeetQuad keeps the tie
             bounds = [None, *(found[0] for found in (triple, quad) if found)]
             bounds += [tuple(rng.sample(range(n), k)) for k in (3, 4) if n >= k]
             for bound in bounds:
                 before = len(fallbacks)
-                got = verify._min_quad(vals, op, bound, triple is None)
+                got = verify._min_quad(vals, op, bound)
                 targeted += n >= 4 and len(fallbacks) == before
-                assert got == count(vals, op, bound, triple is None), (s, op, bound)
+                assert got == count(vals, op, bound), (s, op, bound)
         assert find_violation(s, "recovering") == naive_find_violation(s, "recovering")
     # both the bitset search and its fallback decided some of the cases
     assert targeted > 100 and len(fallbacks) > 100
+
+
+def test_count_finds_first_quad_without_triples():
+    # strongly cancellative constructions: every two pairs of equal value
+    # are disjoint, and the count must still find the first quad
+    rng = random.Random(2012)
+    for s in (block_construction_bn(6), block_construction_bn(8), power_construction(3, 4),
+              product_composition(diagonal_construction(3, 3), 5)):
+        pts = sorted(s.points, key=canonical_key)
+        encode, _ = mask_codec(s.lattice)
+        vals = [encode(p) for p in pts]
+        for op, naive_op in ((operator.and_, _meet), (operator.or_, _join)):
+            first = _first_quad(pts, naive_op)
+            assert verify._min_triple(vals, op) is None and first is not None
+            bounds = [None, first, first[:3], first[:3] + (first[3] + 1,)]
+            bounds += [tuple(rng.sample(range(len(pts)), k)) for k in (3, 4, 3, 4, 3, 4)]
+            for bound in bounds:
+                want = first if bound is None or first < bound else None
+                got = verify._min_quad_by_count(vals, op, bound)
+                assert (got[0] if got else None) == want, (s, op, bound)
+                if got:
+                    assert got[1] == op(vals[first[0]], vals[first[1]])
+
+
+def test_bounded_count_holds_only_the_bound_pairs_values():
+    # with a bound, only the values of the pairs up to it are counted, so
+    # the count holds no table of all |S|^2 / 2 pair values
+    rng = random.Random(2013)
+    vals = sorted(rng.getrandbits(80) for _ in range(256))
+    peaks = []
+    for bound in ((0, 1, 2), None):
+        tracemalloc.start()
+        verify._min_quad_by_count(vals, operator.and_, bound)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] * 10 < peaks[1]
