@@ -9,9 +9,10 @@ Upper bounds implemented:
 The recovering exponent comes from a two-case estimate of
 g(x) = h(x^2) + h((1-x)^2) with h the binary entropy: g <= 1 + h(25/121)
 when x is outside [5/11, 6/11] and g <= 2 h(36/121) inside, and a quarter
-of the larger constant rounds up to 0.4392.  The numeric maximizer of g is
-also computed here; it sits below both case constants, and only the
-inequality direction is asserted anywhere.
+of the larger constant rounds up to 0.4392.  The true maximum of g is
+g(1/2) = 2 h(1/4), about 1.6226 (proved in max_coordinate_entropy_term); it
+sits below both case constants, and only the inequality direction is
+asserted anywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .entropy import Distribution, binary_entropy, subadditivity_check
 from .lattice import ChainProductLattice, PointSet, format_lattice_spec
@@ -59,35 +60,18 @@ def coordinate_entropy_term(x: float) -> float:
     return binary_entropy(x * x) + binary_entropy((1.0 - x) * (1.0 - x))
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def max_coordinate_entropy_term() -> tuple[float, float]:
+    """Global maximum of g on [0, 1]: g(1/2) = 2 h(1/4), about 1.6225562.
 
-
-def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float):
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def max_coordinate_entropy_term(
-    grid_step: float = 1e-4, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Global maximum of g on [0, 1]: dense grid, then golden-section refine."""
-    steps = int(round(1.0 / grid_step))
-    best_i = max(range(steps + 1), key=lambda i: coordinate_entropy_term(i / steps))
-    lo = max(0.0, (best_i - 1) / steps)
-    hi = min(1.0, (best_i + 1) / steps)
-    return _golden_max(coordinate_entropy_term, lo, hi, tol)
+    Write f(s) = h(s^2), so g(x) = f(x) + f(1-x).  Then
+    f''(s) = 2 log2((1-s^2)/s^2) - 4/(ln2 (1-s^2)), which falls as s grows
+    and is about -0.49 at s = 1/3, so f is concave on [1/3, 1].  For x in
+    [1/3, 2/3] both x and 1-x lie there, and Jensen gives
+    f(x) + f(1-x) <= 2 f(1/2).  Outside that interval one term is below
+    h(1/9), about 0.5033, and the other is at most 1; their sum, at most
+    1.5033, is below 2 h(1/4).
+    """
+    return 0.5, coordinate_entropy_term(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +185,10 @@ def applicable_bounds(lattice: ChainProductLattice, prop: str) -> list[BoundRepo
             )
         if lattice.k >= 2 and len(set(lattice.lengths)) == 1:
             l, k = lattice.lengths[0], lattice.k
+            # the bound first: where it overflows, l^(k/2) is too big to build
+            bound = bound_dlk(l, k)
             reports.append(
-                BoundReport(
-                    desc, prop, l ** (k // 2), bound_dlk(l, k), "(2l)^(k/2)+k(l-1)/2+1"
-                )
+                BoundReport(desc, prop, l ** (k // 2), bound, "(2l)^(k/2)+k(l-1)/2+1")
             )
     elif prop == RECOVERING:
         if lattice.is_boolean:

@@ -232,10 +232,11 @@ def cmd_table(args: argparse.Namespace) -> int:
         if args.l is None or args.k is None:
             raise ValueError("table --family dlk needs --l and --k <lo>..<hi>")
         headers = ["k", "construction", "bound"]
-        rows = [
-            [k, args.l ** (k // 2), _fmt9(bound_dlk(args.l, k))]
-            for k in _parse_range(args.k)
-        ]
+        rows = []
+        for k in _parse_range(args.k):
+            # the bound first: where it overflows, l^(k/2) is too big to build
+            bound = _fmt9(bound_dlk(args.l, k))
+            rows.append([k, args.l ** (k // 2), bound])
     if args.format == "json":
         _print_json([dict(zip(headers, row)) for row in rows])
         return 0

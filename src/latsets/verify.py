@@ -268,6 +268,8 @@ def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None):
         for row in rows():
             counts.update(filter(wanted.__contains__, row))
     twice = {v for v, c in counts.items() if c > 1}
+    if not twice:
+        return None
 
     index = defaultdict(list)
     for p0, row in enumerate(rows()):

@@ -54,6 +54,20 @@ def test_max_coordinate_entropy_term():
     assert maximum == pytest.approx(coordinate_entropy_term(argmax), abs=1e-12)
 
 
+def test_max_coordinate_entropy_term_is_the_closed_form():
+    assert max_coordinate_entropy_term() == (0.5, coordinate_entropy_term(0.5))
+
+
+def test_max_coordinate_entropy_term_proof_premises():
+    # f(s) = h(s^2) is concave on [1/3, 1): negative second differences
+    steps = 10_000
+    lo, hi = 1.0 / 3.0, 1.0
+    f = [binary_entropy(s * s) for s in (lo + (hi - lo) * i / steps for i in range(steps))]
+    assert all(f[i - 1] - 2 * f[i] + f[i + 1] < 0 for i in range(1, steps - 1))
+    # outside [1/3, 2/3] one term is below h(1/9) and the other at most 1
+    assert binary_entropy(1 / 9) + 1 < 2 * binary_entropy(0.25)
+
+
 def test_bound_recovering_bn():
     assert bound_recovering_bn(0) == pytest.approx(math.sqrt(3), abs=1e-12)
     assert bound_recovering_bn(10) == pytest.approx(36.37, abs=0.01)

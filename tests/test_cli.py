@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 from latsets.cli import main
 
@@ -375,7 +376,13 @@ def test_huge_bound_parameters_exit_1(capsys):
         (["bounds", "--lattice", "d:3^2000", "--property", "strongly-cancellative"],
          "l = 3, k = 2000"),
         (["table", "--family", "dlk", "--l", "3", "--k", "2000"], "l = 3, k = 2000"),
+        # 3^30000000 has about 48 million bits: the bound must fail first
+        (["table", "--family", "dlk", "--l", "3", "--k", "60000000"],
+         "l = 3, k = 60000000"),
     ):
+        start = time.perf_counter()
         code, _, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - start
         assert code == 1 and err.startswith("error:"), argv
         assert names in err, (argv, err)
+        assert elapsed < 2.0, (argv, elapsed)
