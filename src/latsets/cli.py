@@ -237,12 +237,22 @@ def cmd_table(args: argparse.Namespace) -> int:
             # the bound first: where it overflows, l^(k/2) is too big to build
             bound = _fmt9(bound_dlk(args.l, k))
             rows.append([k, args.l ** (k // 2), bound])
+    # every cell's text before anything is printed: an int too long for
+    # str() (and so for JSON) fails here, naming its row, with stdout empty
+    lines = [",".join(headers)]
+    for row in rows:
+        cells = []
+        for header, value in zip(headers, row):
+            try:
+                cells.append(f"{value:.9g}" if isinstance(value, float) else str(value))
+            except ValueError:
+                raise ValueError(f"{headers[0]} = {row[0]}: the {header} has too many "
+                                 "digits to print") from None
+        lines.append(",".join(cells))
     if args.format == "json":
         _print_json([dict(zip(headers, row)) for row in rows])
-        return 0
-    print(",".join(headers))
-    for row in rows:
-        print(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
+    else:
+        print("\n".join(lines))
     return 0
 
 

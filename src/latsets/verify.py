@@ -16,9 +16,12 @@ The triple searches hold one row at a time; is_recovering holds the pair
 values seen so far.  find_violation's quad search walks the quad's first
 pair in order and finds the rest from bitsets over the members, one per
 mask bit, so an early quad costs little time and no table of pair
-values; only after 2 |S| bitset operations without one does it count
-every pair value.  find_violation passes the best witness found so
-far to each later search, which stops once it can no longer beat it.
+values.  find_violation runs these bitset searches first and the
+triple searches next.  A quad kind whose bitset search spent 2 |S|
+operations without deciding runs it again, bounded by the triples, and
+counts every pair value only if it is still undecided.  Each search gets
+the best witness found so far that may bound it, and stops once it can
+no longer beat that witness.
 
 Families of size <= 2 satisfy every property vacuously: the definitions
 quantify over three or four distinct points.
@@ -165,9 +168,13 @@ def _min_triple(vals: list, op: Callable, bound: Optional[tuple] = None):
     return None
 
 
+# _min_quad's answer when its budget of bitset operations ran out first
+_UNDECIDED = object()
+
+
 def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None):
     """Lexicographically first (p0, p1, q0, q1), pairs disjoint, equal values,
-    or None when there is none that sorts before the bound.
+    None when there is none that sorts before the bound, or _UNDECIDED.
 
     The first pair (p0, p1) runs over the pairs in lex order, up to the
     bound's first two indices.  Its meet v lies below both other points of
@@ -182,10 +189,14 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None):
 
     Without an early quad this costs about ten bitset operations per
     pair, each about as long as the count spends on one pair value, so
-    after 2 |S| operations without a quad _min_quad_by_count decides
-    instead.  That is twice what any construction needs (at most
+    after 2 |S| operations without a quad it returns _UNDECIDED.
+    find_violation then reruns it after the triple searches, bounded by
+    them, and has _min_quad_by_count decide if it is still undecided.
+    That budget is twice what any construction needs (at most
     1.76 |S|, on power_construction(5, 4)); a quad-free family pays it and
     the bitsets on top of the count, 1-3% of it at 512 to 1024 members.
+    Only a quad strictly before the bound is reported, so the bound must
+    be a witness of an earlier kind, which wins a tie.
     """
     n = len(vals)
     if n < 4:
@@ -208,7 +219,7 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None):
             if bound is not None and (p0, p1) > bound[:2]:
                 return None
             if budget < 0:
-                return _min_quad_by_count(vals, op, bound)
+                return _UNDECIDED
             v = masks[p0] & masks[p1]
             cand = above ^ (1 << p1)
             x = v
@@ -291,11 +302,12 @@ def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None):
     return best if best is None or bound is None or best[0] < bound else None
 
 
+# the search of each kind, in the order of _KINDS: two triples, two quads
 _SEARCHES = (
-    (MEET_TRIPLE, _min_triple, operator.and_),
-    (JOIN_TRIPLE, _min_triple, operator.or_),
-    (MEET_QUAD, _min_quad, operator.and_),
-    (JOIN_QUAD, _min_quad, operator.or_),
+    (_min_triple, operator.and_),
+    (_min_triple, operator.or_),
+    (_min_quad, operator.and_),
+    (_min_quad, operator.or_),
 )
 # the searches of each property, a prefix of _SEARCHES
 _SEARCH_COUNT = {CANCELLATIVE: 1, STRONGLY_CANCELLATIVE: 2, RECOVERING: 4}
@@ -309,25 +321,50 @@ def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
     the later member a3; a quad (a1, a2, a3, a4) with a1 < a2, a3 < a4 and
     (a1, a2) < (a3, a4) is lexicographically first.  Across kinds the
     smaller witness tuple wins, ties broken by kind (MeetTriple,
-    JoinTriple, MeetQuad, JoinQuad).  Each search gets the best witness
-    so far as its bound and reports only witnesses that may beat it.
+    JoinTriple, MeetQuad, JoinQuad).
+
+    The searches run cheapest first: the quads' bitset searches, then the
+    O(|S|^2) triple searches.  A quad kind whose bitset search was
+    undecided then reruns it with a bound, if there is one, and counts
+    its pair values if it is still undecided.  Each search gets the best
+    witness so far that may bound it.  A triple search stops only after
+    its bound's anchor, so any witness may bound it.  A quad search
+    reports only witnesses strictly before its bound, so it is bounded
+    only by witnesses of earlier kinds, which win a tie with it.
     """
     prop = normalize_property(prop)
     pts = sorted(s.points, key=canonical_key)
     encode, decode = mask_codec(s.lattice)
     vals = [encode(p) for p in pts]
 
-    # (indices, kind, value); the searches run in kind order and a later
-    # kind replaces best only with a smaller witness, so ties keep the earlier
-    best = None
-    for kind, search, op in _SEARCHES[: _SEARCH_COUNT[prop]]:
-        found = search(vals, op, best[0] if best else None)
-        if found is not None and (best is None or found[0] < best[0]):
-            best = (found[0], kind, found[1])
-    if best is None:
+    # (indices, rank, value) of each witness found, rank its kind's place in
+    # _KINDS: the smallest is the answer, a tie going to the earlier kind
+    found = []
+
+    def bound(rank):
+        # ranks 0 and 1, the triples, take any witness; a quad an earlier kind's
+        earlier = [w for w in found if w[1] < rank or rank < 2]
+        return min(earlier)[0] if earlier else None
+
+    def run(rank, search, op):
+        got = search(vals, op, bound(rank))
+        if got is not None and got is not _UNDECIDED:
+            found.append((got[0], rank, got[1]))
+        return got
+
+    searches = list(enumerate(_SEARCHES[: _SEARCH_COUNT[prop]]))
+    undecided = [(rank, search, op) for rank, (search, op) in searches[2:]
+                 if run(rank, search, op) is _UNDECIDED]
+    for rank, (search, op) in searches[:2]:
+        run(rank, search, op)
+    for rank, search, op in undecided:
+        # with a bound now, the bitset search may stop at its pair
+        if bound(rank) is None or run(rank, search, op) is _UNDECIDED:
+            run(rank, _min_quad_by_count, op)
+    if not found:
         return None
-    indices, kind, value = best
-    return Violation(kind, tuple(pts[i] for i in indices), decode(value))
+    indices, rank, value = min(found)
+    return Violation(_KINDS[rank], tuple(pts[i] for i in indices), decode(value))
 
 
 @dataclass(frozen=True, eq=False)

@@ -379,10 +379,15 @@ def test_huge_bound_parameters_exit_1(capsys):
         # 3^30000000 has about 48 million bits: the bound must fail first
         (["table", "--family", "dlk", "--l", "3", "--k", "60000000"],
          "l = 3, k = 60000000"),
+        # 2^15000 has more digits than str() converts (4300): no row is
+        # printed, not even the header, and the first failing n is named
+        (["table", "--family", "sc-bn", "--n", "30000"], "n = 30000"),
+        (["table", "--family", "sc-bn", "--n", "30000", "--format", "json"], "n = 30000"),
+        (["table", "--family", "sc-bn", "--n", "28560..28580"], "n = 28570"),
     ):
         start = time.perf_counter()
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         elapsed = time.perf_counter() - start
-        assert code == 1 and err.startswith("error:"), argv
+        assert code == 1 and err.startswith("error:") and out == "", argv
         assert names in err, (argv, err)
         assert elapsed < 2.0, (argv, elapsed)

@@ -6,7 +6,9 @@ import math
 import operator
 import random
 import tracemalloc
+from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +95,11 @@ def families(draw, max_points: int = 120):
 # {1,2},{3,4} and {1,3},{2,4} share meet and join: MeetQuad wins the tie
 @example(PointSet.from_coords(ChainProductLattice.boolean(4), [
     (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]))
+# MeetQuad and JoinQuad share their first witness, (0, 5, 1, 4); the meet
+# bitset search runs out of budget, the join one finds the quad, and the
+# meet count must not take it as its bound, which would drop the tie
+@example(PointSet.from_coords(ChainProductLattice((3, 3, 3, 3)), [
+    (0, 0, 2, 2), (0, 1, 1, 2), (0, 2, 0, 2), (1, 2, 0, 0), (2, 0, 2, 1), (2, 1, 1, 1)]))
 def test_mask_verifiers_match_naive_oracles(s):
     for prop in PROPERTIES:
         assert satisfies(s, prop) == NAIVE_CHECKS[prop](s)
@@ -105,22 +112,16 @@ def test_mask_verifiers_match_naive_oracles(s):
             assert stats.max_multiplicity == max(naive.values())
 
 
-def test_min_quad_matches_full_count(monkeypatch):
-    # the bitset quad search against the full pair-value count it falls back
-    # to, with and without a bound, and find_violation against the oracle
-    fallbacks = []
-    count = verify._min_quad_by_count
-
-    def spy(*args):
-        fallbacks.append(args)
-        return count(*args)
-
-    monkeypatch.setattr(verify, "_min_quad_by_count", spy)
+def test_min_quad_matches_full_count():
+    # the bitset quad search against the full pair-value count, with and
+    # without a bound: where its budget runs out it is undecided and the
+    # count decides, which the second half of the asserts checks
     rng = random.Random(2011)
     lattices = [ChainProductLattice.boolean(n) for n in (4, 5, 6, 7)] + [
         ChainProductLattice(lengths) for lengths in
         ((3, 3, 3), (4, 4), (3, 4, 2), (5, 3), (7, 7, 7), (4, 4, 4, 4))]
-    targeted = 0
+    count = verify._min_quad_by_count
+    targeted = undecided = 0
     for trial in range(240):
         lattice = lattices[trial % len(lattices)]
         points = rng.sample(enumerate_lattice(lattice), min(lattice.size, rng.randint(4, 14)))
@@ -142,13 +143,92 @@ def test_min_quad_matches_full_count(monkeypatch):
             bounds = [None, *(found[0] for found in (triple, quad) if found)]
             bounds += [tuple(rng.sample(range(n), k)) for k in (3, 4) if n >= k]
             for bound in bounds:
-                before = len(fallbacks)
                 got = verify._min_quad(vals, op, bound)
-                targeted += n >= 4 and len(fallbacks) == before
-                assert got == count(vals, op, bound), (s, op, bound)
+                if got is verify._UNDECIDED:
+                    undecided += 1
+                else:
+                    targeted += n >= 4
+                    assert got == count(vals, op, bound), (s, op, bound)
         assert find_violation(s, "recovering") == naive_find_violation(s, "recovering")
-    # both the bitset search and its fallback decided some of the cases
-    assert targeted > 100 and len(fallbacks) > 100
+    # both the bitset search and the count decided some of the cases
+    assert targeted > 100 and undecided > 100
+
+
+def test_recovering_violation_of_greedy_subfamilies():
+    # greedy cancellative and strongly cancellative subfamilies of 150
+    # random points fail recovering late, by a join triple or a quad, if at
+    # all: the reordered searches and their bounds against the oracle
+    rng = random.Random(2016)
+    lattices = [ChainProductLattice.boolean(n) for n in range(5, 11)] + [
+        ChainProductLattice(lengths) for lengths in
+        ((3, 3, 3), (4, 4, 4), (3, 4, 2), (5, 3, 3), (3, 3, 3, 3), (3, 4, 5))]
+    kinds = Counter()
+    for trial in range(504):
+        lattice = lattices[trial % len(lattices)]
+        prop = ("cancellative", "strongly_cancellative")[trial // len(lattices) % 2]
+        kept: list = []
+        for p in rng.sample(enumerate_lattice(lattice), min(150, lattice.size)):
+            if satisfies(PointSet(lattice, tuple(kept + [p])), prop):
+                kept.append(p)
+        s = PointSet(lattice, tuple(kept))
+        want = naive_find_violation(s, "recovering")
+        assert find_violation(s, "recovering") == want, s
+        kinds[want and want.kind] += 1
+    # every kind the subfamilies can fail by, and some that hold
+    assert set(kinds) == {None, "JoinTriple", "MeetQuad", "JoinQuad"}, kinds
+
+
+def _spy_searches(monkeypatch) -> list:
+    # (kind, bound, result) of each search find_violation runs, in order;
+    # the result is "undecided" where the bitset budget ran out
+    calls = []
+
+    def spy(kind, search):
+        def run(vals, op, bound=None):
+            got = search(vals, op, bound)
+            undecided = got is verify._UNDECIDED
+            calls.append((kind, bound, "undecided" if undecided else got and got[0]))
+            return got
+        return run
+
+    searches = zip(verify._KINDS, verify._SEARCHES)
+    monkeypatch.setattr(verify, "_SEARCHES",
+                        tuple((spy(kind, search), op) for kind, (search, op) in searches))
+    monkeypatch.setattr(verify, "_min_quad_by_count", spy("count", verify._min_quad_by_count))
+    return calls
+
+
+def test_early_quad_bounds_the_triple_searches(monkeypatch):
+    # the bitset searches run first, so the O(|S|^2) triple scans of a
+    # strongly cancellative construction stop after anchor 0
+    calls = _spy_searches(monkeypatch)
+    quad = (0, 3, 1, 2)
+    assert find_violation(block_construction_bn(20), "recovering").kind == "MeetQuad"
+    assert calls == [("MeetQuad", None, quad), ("JoinQuad", quad, None),
+                     ("MeetTriple", quad, None), ("JoinTriple", quad, None)]
+
+
+@pytest.mark.parametrize("seed, rerun_decides", [(1, True), (2, False)])
+def test_undecided_quads_wait_for_the_triples(monkeypatch, seed, rerun_decides):
+    # 64 random points of B_40: both bitset searches run out of budget, so
+    # they wait for the MeetTriple; bounded by it, a rerun of the bitset
+    # search decides (seed 1) or the count decides, counting only the
+    # values of the pairs up to the triple's (seed 2)
+    masks = random.Random(seed).sample(range(1 << 40), 64)
+    s = PointSet.from_coords(ChainProductLattice.boolean(40),
+                             [tuple((m >> i) & 1 for i in range(40)) for m in masks])
+    calls = _spy_searches(monkeypatch)
+    assert find_violation(s, "recovering").kind == "MeetTriple"
+    assert [call[::2] for call in calls[:2]] == [("MeetQuad", "undecided"),
+                                                 ("JoinQuad", "undecided")]
+    triple = calls[2][2]
+    want = [("MeetTriple", None, triple), ("JoinTriple", triple, None)]
+    for kind in ("MeetQuad", "JoinQuad"):
+        if rerun_decides:
+            want += [(kind, triple, None)]
+        else:
+            want += [(kind, triple, "undecided"), ("count", triple, None)]
+    assert calls[2:] == want
 
 
 def test_count_finds_first_quad_without_triples():
