@@ -31,12 +31,16 @@ from .setfile import dumps_set_file, load_set_file, save_set_file
 from .verify import (
     JOIN,
     MEET,
+    PROPERTIES,
     anchored_entropy,
     find_violation,
     is_recovering,
     normalize_property,
     pair_statistics,
 )
+
+# the --property choices: the property names, spelled with hyphens
+_PROPERTY_CHOICES = [prop.replace("_", "-") for prop in PROPERTIES]
 
 
 def _fmt9(x: float) -> float:
@@ -75,13 +79,16 @@ def _signed_integer(text: str) -> int:
 
 def _parse_range(text: str) -> range:
     """Inclusive integer range: "2..8" or a single value "4", in ASCII
-    decimal digits."""
+    decimal digits; a range whose end is below its start is an error."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            return range(_decimal(lo), _decimal(hi) + 1)
+            lo, hi = _decimal(lo), _decimal(hi)
         except ValueError:
             raise ValueError(f"bad range {text!r}; expected <lo>..<hi>") from None
+        if hi < lo:
+            raise ValueError(f"bad range {text!r}; <hi> is below <lo>")
+        return range(lo, hi + 1)
     try:
         value = _decimal(text)
     except ValueError:
@@ -278,14 +285,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a set file against a property")
     p.add_argument("path")
-    p.add_argument("--property", required=True,
-                   choices=["cancellative", "strongly-cancellative", "recovering"])
+    p.add_argument("--property", required=True, choices=_PROPERTY_CHOICES)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("search", help="maximum family search on a lattice")
     p.add_argument("--lattice", required=True, help="b:<n> | d:<l1>,<l2>[,...] | d:<l>^<k>")
-    p.add_argument("--property", required=True,
-                   choices=["cancellative", "strongly-cancellative", "recovering"])
+    p.add_argument("--property", required=True, choices=_PROPERTY_CHOICES)
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
     p.add_argument("--threads", type=_integer, default=1,
                    help="validated (>= 1) but inert: search runs on one thread")
@@ -298,8 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="bound and construction sizes for a lattice")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--property", required=True,
-                   choices=["cancellative", "strongly-cancellative", "recovering"])
+    p.add_argument("--property", required=True, choices=_PROPERTY_CHOICES)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_bounds)
 

@@ -70,7 +70,12 @@ def dumps_set_file(s: PointSet) -> str:
 
 
 def loads_set_file(text: str) -> PointSet:
-    return point_set_from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # arrays or objects nested deeper than the interpreter's stack
+        raise ValueError("set file is nested too deeply to read") from None
+    return point_set_from_json_dict(data)
 
 
 def save_set_file(s: PointSet, path: Union[str, Path]) -> None:

@@ -16,12 +16,13 @@ The triple searches hold one row at a time; is_recovering holds the pair
 values seen so far.  find_violation's quad search walks the quad's first
 pair in order and finds the rest from bitsets over the members, one per
 mask bit, so an early quad costs little time and no table of pair
-values.  find_violation runs these bitset searches first and the
-triple searches next.  A quad kind whose bitset search spent 2 |S|
-operations without deciding runs it again, bounded by the triples, and
-counts every pair value only if it is still undecided.  Each search gets
-the best witness found so far that may bound it, and stops once it can
-no longer beat that witness.
+values.  find_violation runs each search once: these bitset searches
+first and the triple searches next.  A bitset search that spent 2 |S|
+operations without deciding returns the pair it stopped at, and its kind
+counts every pair value only if a quad that opens there or later can
+still beat or tie the best witness so far.  Each search after the bitset
+ones gets that witness as its bound and stops once it can no longer beat
+or tie it.
 
 Families of size <= 2 satisfy every property vacuously: the definitions
 quantify over three or four distinct points.
@@ -168,35 +169,31 @@ def _min_triple(vals: list, op: Callable, bound: Optional[tuple] = None):
     return None
 
 
-# _min_quad's answer when its budget of bitset operations ran out first
-_UNDECIDED = object()
-
-
-def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None):
+def _min_quad(vals: list, op: Callable):
     """Lexicographically first (p0, p1, q0, q1), pairs disjoint, equal values,
-    None when there is none that sorts before the bound, or _UNDECIDED.
+    and its value; None when there is none; or ((p0, p1), None) when its
+    budget ran out at the pair (p0, p1), before which no quad opens.
 
-    The first pair (p0, p1) runs over the pairs in lex order, up to the
-    bound's first two indices.  Its meet v lies below both other points of
-    the quad, so those are members above p0, other than p1, whose masks
-    hold every bit of v: the AND of has[t] over the bits t of v.  Such a
-    q0 meets a later such q1 in exactly v iff q1 lacks every bit of
-    vals[q0] & ~v, so q0's partners are the AND of ~has[t] over those
-    bits.  The first q0, ascending, with a partner and its first partner
-    complete the quad.  A join is the meet of complemented masks
-    (a | b = v iff ~a & ~b = ~v).  has[t] is a bitset over the members,
-    so the work follows the answer, not the |S|^2 / 2 pair values.
+    The first pair (p0, p1) runs over the pairs in lex order.  Its meet v
+    lies below both other points of the quad, so those are members above
+    p0, other than p1, whose masks hold every bit of v: the AND of has[t]
+    over the bits t of v.  Such a q0 meets a later such q1 in exactly v
+    iff q1 lacks every bit of vals[q0] & ~v, so q0's partners are the AND
+    of ~has[t] over those bits.  The first q0, ascending, with a partner
+    and its first partner complete the quad.  A join is the meet of
+    complemented masks (a | b = v iff ~a & ~b = ~v).  has[t] is a bitset
+    over the members, so the work follows the answer, not the |S|^2 / 2
+    pair values.
 
     Without an early quad this costs about ten bitset operations per
     pair, each about as long as the count spends on one pair value, so
-    after 2 |S| operations without a quad it returns _UNDECIDED.
-    find_violation then reruns it after the triple searches, bounded by
-    them, and has _min_quad_by_count decide if it is still undecided.
+    after 2 |S| operations without a quad it stops at the next pair, the
+    frontier.  find_violation then has _min_quad_by_count decide, unless
+    the best witness so far opens before the frontier, so that no quad
+    left can beat or tie it.
     That budget is twice what any construction needs (at most
     1.76 |S|, on power_construction(5, 4)); a quad-free family pays it and
     the bitsets on top of the count, 1-3% of it at 512 to 1024 members.
-    Only a quad strictly before the bound is reported, so the bound must
-    be a witness of an earlier kind, which wins a tie.
     """
     n = len(vals)
     if n < 4:
@@ -216,10 +213,8 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None):
     for p0 in range(n):
         above = everyone ^ ((2 << p0) - 1)
         for p1 in range(p0 + 1, n):
-            if bound is not None and (p0, p1) > bound[:2]:
-                return None
             if budget < 0:
-                return _UNDECIDED
+                return (p0, p1), None
             v = masks[p0] & masks[p1]
             cand = above ^ (1 << p1)
             x = v
@@ -242,9 +237,7 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None):
                     budget -= 1
                 if partners:
                     quad = (p0, p1, q0, (partners & -partners).bit_length() - 1)
-                    if bound is None or quad < bound:
-                        return quad, op(vals[p0], vals[p1])
-                    return None
+                    return quad, op(vals[p0], vals[p1])
             budget -= 1
     return None
 
@@ -253,13 +246,13 @@ def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None):
     """_min_quad by counting every pair value: O(|S|^2) time and memory
     whatever the answer.
 
-    A quad (p0, p1, q0, q1) sorts before a bound (i, b1, b2) iff
-    (p0, p1, q0) < (i, b1, b2), so only pairs (p0, p1) up to the bound's
-    first two indices can open one, and only their values are counted over
-    all pairs.  The pairs of each value that occurs twice are indexed; the
-    first of them with a disjoint partner, found from point degrees, and
-    its first such partner give the quad of that value, and the smallest
-    over all values wins.
+    With a bound (the best witness so far) only a quad up to it, a tie
+    included, is reported.  Such a quad opens with a pair (p0, p1) up to
+    the bound's first two indices, so only the values of those pairs are
+    counted over all pairs.  The pairs of each value that occurs twice are
+    indexed; the first of them with a disjoint partner, found from point
+    degrees, and its first such partner give the quad of that value, and
+    the smallest over all values wins.
     """
     n = len(vals)
 
@@ -299,18 +292,13 @@ def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None):
                 if best is None or (a, b) + q < best[0]:
                     best = ((a, b) + q, v)
                 break
-    return best if best is None or bound is None or best[0] < bound else None
+    return best if best is None or bound is None or best[0] <= bound else None
 
 
-# the search of each kind, in the order of _KINDS: two triples, two quads
-_SEARCHES = (
-    (_min_triple, operator.and_),
-    (_min_triple, operator.or_),
-    (_min_quad, operator.and_),
-    (_min_quad, operator.or_),
-)
-# the searches of each property, a prefix of _SEARCHES
-_SEARCH_COUNT = {CANCELLATIVE: 1, STRONGLY_CANCELLATIVE: 2, RECOVERING: 4}
+# the mask operator of each kind, in the order of _KINDS
+_KIND_OPS = (operator.and_, operator.or_, operator.and_, operator.or_)
+# the kinds each property checks, a prefix of _KINDS
+_KIND_COUNT = {CANCELLATIVE: 1, STRONGLY_CANCELLATIVE: 2, RECOVERING: 4}
 
 
 def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
@@ -323,44 +311,45 @@ def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
     smaller witness tuple wins, ties broken by kind (MeetTriple,
     JoinTriple, MeetQuad, JoinQuad).
 
-    The searches run cheapest first: the quads' bitset searches, then the
-    O(|S|^2) triple searches.  A quad kind whose bitset search was
-    undecided then reruns it with a bound, if there is one, and counts
-    its pair values if it is still undecided.  Each search gets the best
-    witness so far that may bound it.  A triple search stops only after
-    its bound's anchor, so any witness may bound it.  A quad search
-    reports only witnesses strictly before its bound, so it is bounded
-    only by witnesses of earlier kinds, which win a tie with it.
+    The searches run cheapest first, each once: the quads' bitset
+    searches, then the O(|S|^2) triple searches, then the pair-value count
+    of each quad kind whose bitset search stopped at a frontier pair,
+    unless the first two indices of the best witness so far come before
+    it.  Each search after the bitset ones gets the best witness so far
+    as its bound and reports its first witness if that is up to the
+    bound, a tie included, so the smallest witness found, a tie going to
+    the earlier kind, is the answer.
     """
     prop = normalize_property(prop)
     pts = sorted(s.points, key=canonical_key)
     encode, decode = mask_codec(s.lattice)
     vals = [encode(p) for p in pts]
+    ranks = range(_KIND_COUNT[prop])
 
     # (indices, rank, value) of each witness found, rank its kind's place in
     # _KINDS: the smallest is the answer, a tie going to the earlier kind
     found = []
 
-    def bound(rank):
-        # ranks 0 and 1, the triples, take any witness; a quad an earlier kind's
-        earlier = [w for w in found if w[1] < rank or rank < 2]
-        return min(earlier)[0] if earlier else None
+    def bound():
+        return min(found)[0] if found else None
 
-    def run(rank, search, op):
-        got = search(vals, op, bound(rank))
-        if got is not None and got is not _UNDECIDED:
+    def keep(rank, got):
+        if got is not None:
             found.append((got[0], rank, got[1]))
-        return got
 
-    searches = list(enumerate(_SEARCHES[: _SEARCH_COUNT[prop]]))
-    undecided = [(rank, search, op) for rank, (search, op) in searches[2:]
-                 if run(rank, search, op) is _UNDECIDED]
-    for rank, (search, op) in searches[:2]:
-        run(rank, search, op)
-    for rank, search, op in undecided:
-        # with a bound now, the bitset search may stop at its pair
-        if bound(rank) is None or run(rank, search, op) is _UNDECIDED:
-            run(rank, _min_quad_by_count, op)
+    frontiers = []
+    for rank in ranks[2:]:
+        got = _min_quad(vals, _KIND_OPS[rank])
+        if got is not None and got[1] is None:
+            frontiers.append((rank, got[0]))
+        else:
+            keep(rank, got)
+    for rank in ranks[:2]:
+        keep(rank, _min_triple(vals, _KIND_OPS[rank], bound()))
+    for rank, frontier in frontiers:
+        best = bound()
+        if best is None or best[:2] >= frontier:
+            keep(rank, _min_quad_by_count(vals, _KIND_OPS[rank], best))
     if not found:
         return None
     indices, rank, value = min(found)

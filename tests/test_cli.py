@@ -202,7 +202,10 @@ def test_malformed_integer_options_exit_1(capsys):
                  ["search", "--lattice", "b:3", "--property", "recovering",
                   "--progress", "+5"],
                  ["search", "--lattice", "b:3", "--property", "recovering",
-                  "--progress", "-"]):
+                  "--progress", "-"],
+                 # a reversed range would print only the header
+                 ["table", "--family", "sc-bn", "--n", "5..2"],
+                 ["table", "--family", "dlk", "--l", "3", "--k", "4..1"]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert "error:" in err, argv
@@ -326,9 +329,10 @@ def test_table_dlk(capsys):
 
 
 def test_table_empty_range(capsys):
-    code, out, _ = run_cli(capsys, "table", "--family", "sc-bn", "--n", "9..2")
-    assert code == 0
-    assert out.strip() == "n,construction,bound,tight"
+    # a range whose end is below its start is refused, not printed empty
+    code, out, err = run_cli(capsys, "table", "--family", "sc-bn", "--n", "9..2")
+    assert (code, out) == (1, "")
+    assert err == "error: bad range '9..2'; <hi> is below <lo>\n"
 
 
 def test_table_missing_flags(capsys):
@@ -365,6 +369,20 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bestSize"] == 2
+
+
+def test_deeply_nested_set_file_exits_1(tmp_path):
+    # json.loads runs out of stack on it: one error line, not a traceback
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000, encoding="utf-8")
+    for argv in (["verify", str(nested), "--property", "recovering"],
+                 ["entropy", str(nested)],
+                 ["construct", "--family", "compose", "--base", str(nested), "--k", "2"]):
+        proc = subprocess.run([sys.executable, "-m", "latsets", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        assert proc.stderr == "error: set file is nested too deeply to read\n", argv
+        assert "Traceback" not in proc.stderr
 
 
 def test_huge_bound_parameters_exit_1(capsys):

@@ -97,7 +97,8 @@ def families(draw, max_points: int = 120):
     (0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]))
 # MeetQuad and JoinQuad share their first witness, (0, 5, 1, 4); the meet
 # bitset search runs out of budget, the join one finds the quad, and the
-# meet count must not take it as its bound, which would drop the tie
+# meet count, bounded by it, must still report its equal quad, which wins
+# the tie
 @example(PointSet.from_coords(ChainProductLattice((3, 3, 3, 3)), [
     (0, 0, 2, 2), (0, 1, 1, 2), (0, 2, 0, 2), (1, 2, 0, 0), (2, 0, 2, 1), (2, 1, 1, 1)]))
 def test_mask_verifiers_match_naive_oracles(s):
@@ -113,16 +114,17 @@ def test_mask_verifiers_match_naive_oracles(s):
 
 
 def test_min_quad_matches_full_count():
-    # the bitset quad search against the full pair-value count, with and
-    # without a bound: where its budget runs out it is undecided and the
-    # count decides, which the second half of the asserts checks
+    # the bitset quad search against the full pair-value count: where it
+    # decides, it agrees with the count; where its budget runs out, no
+    # quad opens before the pair it stopped at.  The count with a bound
+    # reports its first quad iff that quad is up to the bound
     rng = random.Random(2011)
     lattices = [ChainProductLattice.boolean(n) for n in (4, 5, 6, 7)] + [
         ChainProductLattice(lengths) for lengths in
         ((3, 3, 3), (4, 4), (3, 4, 2), (5, 3), (7, 7, 7), (4, 4, 4, 4))]
     count = verify._min_quad_by_count
     targeted = undecided = 0
-    for trial in range(240):
+    for trial in range(360):
         lattice = lattices[trial % len(lattices)]
         points = rng.sample(enumerate_lattice(lattice), min(lattice.size, rng.randint(4, 14)))
         if trial % 3:
@@ -137,21 +139,23 @@ def test_min_quad_matches_full_count():
         vals = [encode(p) for p in sorted(s.points, key=canonical_key)]
         n = len(vals)
         for op in (operator.and_, operator.or_):
+            first = count(vals, op)
+            got = verify._min_quad(vals, op)
+            if got is not None and got[1] is None:
+                undecided += 1
+                assert first is None or first[0][:2] >= got[0], (s, op, got)
+            else:
+                targeted += n >= 4
+                assert got == first, (s, op)
             triple = verify._min_triple(vals, op)
-            quad = count(vals, op)
-            # a quad bound ties with the first quad: MeetQuad keeps the tie
-            bounds = [None, *(found[0] for found in (triple, quad) if found)]
+            bounds = [found[0] for found in (triple, first) if found]
             bounds += [tuple(rng.sample(range(n), k)) for k in (3, 4) if n >= k]
             for bound in bounds:
-                got = verify._min_quad(vals, op, bound)
-                if got is verify._UNDECIDED:
-                    undecided += 1
-                else:
-                    targeted += n >= 4
-                    assert got == count(vals, op, bound), (s, op, bound)
+                want = first if first and first[0] <= bound else None
+                assert count(vals, op, bound) == want, (s, op, bound)
         assert find_violation(s, "recovering") == naive_find_violation(s, "recovering")
     # both the bitset search and the count decided some of the cases
-    assert targeted > 100 and undecided > 100
+    assert targeted > 100 and undecided > 100, (targeted, undecided)
 
 
 def test_recovering_violation_of_greedy_subfamilies():
@@ -179,56 +183,77 @@ def test_recovering_violation_of_greedy_subfamilies():
 
 
 def _spy_searches(monkeypatch) -> list:
-    # (kind, bound, result) of each search find_violation runs, in order;
-    # the result is "undecided" where the bitset budget ran out
+    # (search, bound, result) of each search find_violation runs, in order:
+    # "MeetQuad" is the bitset search, which takes no bound and whose result
+    # is the pair it stopped at if its budget ran out, "MeetQuad count" the
+    # count, "MeetTriple" the triple search; the Join ones likewise
     calls = []
 
-    def spy(kind, search):
-        def run(vals, op, bound=None):
-            got = search(vals, op, bound)
-            undecided = got is verify._UNDECIDED
-            calls.append((kind, bound, "undecided" if undecided else got and got[0]))
+    def spy(name, search):
+        def run(vals, op, *bound):
+            got = search(vals, op, *bound)
+            calls.append((("Meet" if op is operator.and_ else "Join") + name,
+                          *bound, got and got[0]))
             return got
         return run
 
-    searches = zip(verify._KINDS, verify._SEARCHES)
-    monkeypatch.setattr(verify, "_SEARCHES",
-                        tuple((spy(kind, search), op) for kind, (search, op) in searches))
-    monkeypatch.setattr(verify, "_min_quad_by_count", spy("count", verify._min_quad_by_count))
+    for attr, name in (("_min_quad", "Quad"), ("_min_triple", "Triple"),
+                       ("_min_quad_by_count", "Quad count")):
+        monkeypatch.setattr(verify, attr, spy(name, getattr(verify, attr)))
     return calls
+
+
+def _random_boolean_family(n: int, masks: list) -> PointSet:
+    return PointSet.from_coords(ChainProductLattice.boolean(n),
+                                [tuple((m >> i) & 1 for i in range(n)) for m in masks])
 
 
 def test_early_quad_bounds_the_triple_searches(monkeypatch):
     # the bitset searches run first, so the O(|S|^2) triple scans of a
     # strongly cancellative construction stop after anchor 0
+    s = block_construction_bn(20)
     calls = _spy_searches(monkeypatch)
     quad = (0, 3, 1, 2)
-    assert find_violation(block_construction_bn(20), "recovering").kind == "MeetQuad"
-    assert calls == [("MeetQuad", None, quad), ("JoinQuad", quad, None),
+    assert find_violation(s, "recovering").kind == "MeetQuad"
+    assert calls == [("MeetQuad", quad), ("JoinQuad", quad),
                      ("MeetTriple", quad, None), ("JoinTriple", quad, None)]
 
 
-@pytest.mark.parametrize("seed, rerun_decides", [(1, True), (2, False)])
-def test_undecided_quads_wait_for_the_triples(monkeypatch, seed, rerun_decides):
+@pytest.mark.parametrize("seed, skips_count", [(1, True), (2, False)])
+def test_undecided_quads_wait_for_the_triples(monkeypatch, seed, skips_count):
     # 64 random points of B_40: both bitset searches run out of budget, so
-    # they wait for the MeetTriple; bounded by it, a rerun of the bitset
-    # search decides (seed 1) or the count decides, counting only the
+    # they wait for the MeetTriple.  Its pair comes before both frontiers,
+    # so no count runs (seed 1), or after them, so each kind counts the
     # values of the pairs up to the triple's (seed 2)
-    masks = random.Random(seed).sample(range(1 << 40), 64)
-    s = PointSet.from_coords(ChainProductLattice.boolean(40),
-                             [tuple((m >> i) & 1 for i in range(40)) for m in masks])
+    s = _random_boolean_family(40, random.Random(seed).sample(range(1 << 40), 64))
     calls = _spy_searches(monkeypatch)
     assert find_violation(s, "recovering").kind == "MeetTriple"
-    assert [call[::2] for call in calls[:2]] == [("MeetQuad", "undecided"),
-                                                 ("JoinQuad", "undecided")]
+    assert [call[0] for call in calls[:2]] == ["MeetQuad", "JoinQuad"]
+    frontiers = [call[1] for call in calls[:2]]
+    assert all(len(frontier) == 2 for frontier in frontiers)
     triple = calls[2][2]
+    assert all((triple[:2] < frontier) == skips_count for frontier in frontiers)
     want = [("MeetTriple", None, triple), ("JoinTriple", triple, None)]
-    for kind in ("MeetQuad", "JoinQuad"):
-        if rerun_decides:
-            want += [(kind, triple, None)]
-        else:
-            want += [(kind, triple, "undecided"), ("count", triple, None)]
+    if not skips_count:
+        want += [("MeetQuad count", triple, None), ("JoinQuad count", triple, None)]
     assert calls[2:] == want
+
+
+@pytest.mark.parametrize("seed", [237, 869])
+def test_quad_opening_at_the_frontier_is_counted(monkeypatch, seed):
+    # the MeetQuad bitset search stops at the pair that opens the
+    # MeetTriple, and the first MeetQuad opens there too and beats it: the
+    # count must run when the bound's pair equals the frontier
+    rng = random.Random(seed)
+    n = rng.randint(9, 12)
+    s = _random_boolean_family(n, rng.sample(range(1 << n), rng.randint(20, 32)))
+    calls = _spy_searches(monkeypatch)
+    v = find_violation(s, "recovering")
+    assert v == naive_find_violation(s, "recovering") and v.kind == "MeetQuad"
+    assert [call[0] for call in calls] == ["MeetQuad", "JoinQuad", "MeetTriple",
+                                           "JoinTriple", "MeetQuad count"]
+    frontier, triple, (_, bound, quad) = calls[0][1], calls[2][2], calls[4]
+    assert triple[:2] == frontier == quad[:2] and bound == triple and quad < triple
 
 
 def test_count_finds_first_quad_without_triples():
@@ -246,7 +271,7 @@ def test_count_finds_first_quad_without_triples():
             bounds = [None, first, first[:3], first[:3] + (first[3] + 1,)]
             bounds += [tuple(rng.sample(range(len(pts)), k)) for k in (3, 4, 3, 4, 3, 4)]
             for bound in bounds:
-                want = first if bound is None or first < bound else None
+                want = first if bound is None or first <= bound else None
                 got = verify._min_quad_by_count(vals, op, bound)
                 assert (got[0] if got else None) == want, (s, op, bound)
                 if got:
