@@ -13,16 +13,25 @@ a row of values is built with map(op, repeat(a), ...) and tested with
 set, Counter and list.index, so Python-level loops run per row, per
 distinct value or on rows that hold a collision.
 The triple searches hold one row at a time; is_recovering holds the pair
-values seen so far.  find_violation's quad search walks the quad's first
-pair in order and finds the rest from bitsets over the members, one per
-mask bit, so an early quad costs little time and no table of pair
-values.  find_violation runs each search once: these bitset searches
-first and the triple searches next.  A bitset search that spent 2 |S|
-operations without deciding returns the pair it stopped at, and its kind
-counts every pair value only if a quad that opens there or later can
-still beat or tie the best witness so far.  Each search after the bitset
-ones gets that witness as its bound and stops once it can no longer beat
-or tie it.
+values seen so far.  Before a triple search that no witness bounds, a
+certificate tries to prove its kind triple-free from the family's
+distinct pairwise differences:
+anchor ^ b = anchor ^ c iff anchor & (b xor c) = 0, and anchor v b =
+anchor v c iff b xor c lies within anchor, so a triple needs a member on
+the wrong side of some difference.  One set pass over the pairs collects
+the differences, each checked once by bitsets over the members, one per
+mask bit.  It needs few distinct differences: the block family has
+|S| - 1 of them, and past 4 |S| the certificate gives up and the scan
+decides.
+find_violation's quad search walks the quad's first pair in order and
+finds the rest from the same bitsets, so an early quad costs little time
+and no table of pair values.  find_violation runs each search once: these
+bitset searches first and the triple searches next.  A bitset search that
+spent 2 |S| operations without deciding returns the pair it stopped at,
+and its kind counts every pair value only if a quad that opens there or
+later can still beat or tie the best witness so far.  Each search gets
+the best witness so far as its bound and stops once it can no longer
+beat or tie it.
 
 Families of size <= 2 satisfy every property vacuously: the definitions
 quantify over three or four distinct points.
@@ -34,7 +43,7 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import chain, filterfalse, islice, repeat
 from typing import Callable, Optional
 
 from .entropy import Distribution, entropy
@@ -88,14 +97,19 @@ def _pairwise_injective(vals: list, op: Callable) -> bool:
     return True
 
 
+def _no_triples(vals: list, ops: tuple) -> bool:
+    free = _triple_free(vals, ops)
+    return all(op in free or _min_triple(vals, op) is None for op in ops)
+
+
 def is_cancellative(s: PointSet) -> bool:
     vals, _ = _encode_set(s)
-    return _min_triple(vals, operator.and_) is None
+    return _no_triples(vals, (operator.and_,))
 
 
 def is_strongly_cancellative(s: PointSet) -> bool:
     vals, _ = _encode_set(s)
-    return _min_triple(vals, operator.and_) is None and _min_triple(vals, operator.or_) is None
+    return _no_triples(vals, (operator.and_, operator.or_))
 
 
 def is_recovering(s: PointSet) -> bool:
@@ -144,6 +158,95 @@ class Violation:
         }
 
 
+def _bit_tables(vals: list) -> tuple:
+    """(has, lacks): has[1 << t] is the bitset over the members of those
+    whose masks hold bit t, lacks[1 << t] of those without it.
+
+    has is the table of the meet masks.  A join is the meet of the masks
+    complemented within their OR, full (a | b = v iff ~a & ~b = ~v), so
+    lacks is the table of the join masks on every bit of full, the only
+    bits the searches look up.
+    """
+    full = reduce(operator.or_, vals, 0)
+    # the digits of bit t in the masks' binary strings, last member first,
+    # read as a number
+    width = full.bit_length()
+    columns = zip(*map(f"{{:0{width}b}}".format, reversed(vals)))
+    has = {1 << t: int("".join(column), 2)
+           for t, column in zip(range(width - 1, -1, -1), columns)}
+    everyone = (1 << len(vals)) - 1
+    return has, {bit: everyone ^ h for bit, h in has.items()}
+
+
+def _triple_free(vals: list, ops, tables: Optional[tuple] = None) -> list:
+    """The operators of ops (& for meet, | for join) proven to have no
+    triple; the others may or may not have one.
+
+    anchor & b = anchor & c iff anchor & d = 0 with d = b ^ c, and
+    anchor | b = anchor | c iff d lies within anchor.  So a triple needs a
+    member on the wrong side of a difference d of two members: without any
+    bit of d for meet, with every bit of d for join.  Those members are
+    the AND of lacks[t] (of has[t] for join) over the bits t of d, so each
+    distinct difference costs a few bitset operations.  A kind with no
+    member on the wrong side of any difference has no triple.  Any other
+    outcome proves nothing, since that member may be b or c itself, as when
+    b < c.
+
+    One set pass collects the distinct differences row by row, as pair
+    values, and the checks see each once.  Past 4 |S| of them it gives
+    up.  The checks wait while the differences so far, plus as many new
+    ones in each row left as the later half of the rows so far brought on
+    average, would pass that cap: a family whose differences keep growing
+    gives up without them, and a failing one whose differences stop
+    growing shows its wrong side early.
+    Before the pass, it gives up if the first anchor holds a collision of
+    any kind, where a failing family usually shows its triple: the scan
+    that finds it decides, and bounds the other kind's.
+    """
+    n = len(vals)
+    if n < 3:
+        return list(ops)
+    if any(len(set(map(op, repeat(vals[0]), vals))) < n for op in ops):
+        return []
+    ops = list(ops)
+    cap = 4 * n
+    checked: set = set()
+    unchecked: set = set()
+    # sizes[i] is the number of differences in the first i rows
+    sizes = [0]
+    for i, a in enumerate(vals):
+        if not ops:
+            break
+        rest = vals[i + 1 :]
+        if not checked.issuperset(map(operator.xor, repeat(a), rest)):
+            unchecked.update(filterfalse(checked.__contains__, map(operator.xor, repeat(a), rest)))
+        sizes.append(len(checked) + len(unchecked))
+        if sizes[-1] > cap:
+            return []
+        half = (i + 1) // 2
+        rate = (sizes[-1] - sizes[half]) / (i + 1 - half)
+        if sizes[-1] + rate * (n - 1 - i) > cap:
+            continue
+        if tables is None:
+            tables = _bit_tables(vals)
+        for op in list(ops):
+            # the members on the wrong side: lacks for meet, has for join
+            wrong = tables[op is operator.and_]
+            for d in unchecked:
+                low = d & -d
+                members, d = wrong[low], d ^ low
+                while d and members:
+                    low = d & -d
+                    members &= wrong[low]
+                    d ^= low
+                if members:
+                    ops.remove(op)
+                    break
+        checked |= unchecked
+        unchecked.clear()
+    return ops
+
+
 def _min_triple(vals: list, op: Callable, bound: Optional[tuple] = None):
     """First (anchor, b1, b2), b1 < b2, with anchor^b1 = anchor^b2, by anchor
     and then by b2; None iff the triple condition holds.
@@ -169,21 +272,24 @@ def _min_triple(vals: list, op: Callable, bound: Optional[tuple] = None):
     return None
 
 
-def _min_quad(vals: list, op: Callable):
+def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
+              tables: Optional[tuple] = None):
     """Lexicographically first (p0, p1, q0, q1), pairs disjoint, equal values,
-    and its value; None when there is none; or ((p0, p1), None) when its
-    budget ran out at the pair (p0, p1), before which no quad opens.
+    and its value; None when there is none, or none up to the bound, a tie
+    included; or ((p0, p1), None) when its budget ran out at the pair
+    (p0, p1), before which no quad opens.
 
-    The first pair (p0, p1) runs over the pairs in lex order.  Its meet v
-    lies below both other points of the quad, so those are members above
-    p0, other than p1, whose masks hold every bit of v: the AND of has[t]
-    over the bits t of v.  Such a q0 meets a later such q1 in exactly v
-    iff q1 lacks every bit of vals[q0] & ~v, so q0's partners are the AND
-    of ~has[t] over those bits.  The first q0, ascending, with a partner
-    and its first partner complete the quad.  A join is the meet of
-    complemented masks (a | b = v iff ~a & ~b = ~v).  has[t] is a bitset
-    over the members, so the work follows the answer, not the |S|^2 / 2
-    pair values.
+    The first pair (p0, p1) runs over the pairs in lex order, and with a
+    bound (the best witness so far) stops after the bound's first pair.
+    Its meet v lies below both other points of the quad, so those are
+    members above p0, other than p1, whose masks hold every bit of v: the
+    AND of has[t] over the bits t of v (_bit_tables).  Such a q0 meets a
+    later such q1 in exactly v iff q1 lacks every bit of vals[q0] & ~v, so
+    q0's partners are the AND of lacks[t] over those bits.  The first q0,
+    ascending, with a partner and its first partner complete the quad.  A
+    join is the meet of complemented masks, so has and lacks swap.  has[t]
+    is a bitset over the members, so the work follows the answer, not the
+    |S|^2 / 2 pair values.
 
     Without an early quad this costs about ten bitset operations per
     pair, each about as long as the count spends on one pair value, so
@@ -198,21 +304,20 @@ def _min_quad(vals: list, op: Callable):
     n = len(vals)
     if n < 4:
         return None
-    full = reduce(operator.or_, vals)
-    masks = vals if op is operator.and_ else [full ^ a for a in vals]
-    # the digits of bit t in the masks' binary strings, last member first,
-    # read as a number: has[t] holds bit i iff masks[i] holds bit t; it is
-    # keyed by the bit 1 << t
-    width = full.bit_length()
-    columns = zip(*map(f"{{:0{width}b}}".format, reversed(masks)))
-    has = {1 << t: int("".join(column), 2)
-           for t, column in zip(range(width - 1, -1, -1), columns)}
+    has, lacks = tables or _bit_tables(vals)
+    masks = vals
+    if op is operator.or_:
+        full = reduce(operator.or_, vals)
+        masks, has, lacks = [full ^ a for a in vals], lacks, has
+    last = bound[:2] if bound else (n, n)
     everyone = (1 << n) - 1
 
     budget = 2 * n
     for p0 in range(n):
         above = everyone ^ ((2 << p0) - 1)
         for p1 in range(p0 + 1, n):
+            if (p0, p1) > last:
+                return None
             if budget < 0:
                 return (p0, p1), None
             v = masks[p0] & masks[p1]
@@ -232,11 +337,13 @@ def _min_quad(vals: list, op: Callable):
                 x = masks[q0] & ~v
                 while x and partners:
                     low = x & -x
-                    partners &= ~has[low]
+                    partners &= lacks[low]
                     x ^= low
                     budget -= 1
                 if partners:
                     quad = (p0, p1, q0, (partners & -partners).bit_length() - 1)
+                    if bound and quad > bound:
+                        return None
                     return quad, op(vals[p0], vals[p1])
             budget -= 1
     return None
@@ -315,10 +422,12 @@ def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
     searches, then the O(|S|^2) triple searches, then the pair-value count
     of each quad kind whose bitset search stopped at a frontier pair,
     unless the first two indices of the best witness so far come before
-    it.  Each search after the bitset ones gets the best witness so far
-    as its bound and reports its first witness if that is up to the
-    bound, a tie included, so the smallest witness found, a tie going to
-    the earlier kind, is the answer.
+    it.  Each search gets the best witness so far as its bound and reports
+    its first witness if that is up to the bound, a tie included, so the
+    smallest witness found, a tie going to the earlier kind, is the
+    answer.  Without a witness to bound them the triple searches run only
+    for the kinds that _triple_free does not prove free; the certificate
+    and the quad searches share one _bit_tables.
     """
     prop = normalize_property(prop)
     pts = sorted(s.points, key=canonical_key)
@@ -337,14 +446,19 @@ def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
         if got is not None:
             found.append((got[0], rank, got[1]))
 
+    tables = _bit_tables(vals) if len(ranks) > 2 else None
     frontiers = []
     for rank in ranks[2:]:
-        got = _min_quad(vals, _KIND_OPS[rank])
+        got = _min_quad(vals, _KIND_OPS[rank], bound(), tables)
         if got is not None and got[1] is None:
             frontiers.append((rank, got[0]))
         else:
             keep(rank, got)
-    for rank in ranks[:2]:
+    triples = ranks[:2]
+    if not found:
+        free = _triple_free(vals, [_KIND_OPS[rank] for rank in triples], tables)
+        triples = [rank for rank in triples if _KIND_OPS[rank] not in free]
+    for rank in triples:
         keep(rank, _min_triple(vals, _KIND_OPS[rank], bound()))
     for rank, frontier in frontiers:
         best = bound()

@@ -34,6 +34,7 @@ from latsets.lattice import mask_codec
 from oracles import (
     NAIVE_CHECKS,
     _first_quad,
+    _first_triple,
     _join,
     _meet,
     naive_find_violation,
@@ -66,6 +67,17 @@ def families(draw, max_points: int = 120):
                 kept.append(p)
         points = kept
     return PointSet.from_coords(lattice, points)
+
+
+def _certified(s: PointSet) -> list:
+    # the kinds _triple_free proves free, checked against the naive oracle
+    pts = sorted(s.points, key=canonical_key)
+    encode, _ = mask_codec(s.lattice)
+    free = verify._triple_free([encode(p) for p in pts], (operator.and_, operator.or_))
+    for op, naive_op in ((operator.and_, _meet), (operator.or_, _join)):
+        if op in free:
+            assert _first_triple(pts, naive_op) is None, (s, op)
+    return free
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -102,6 +114,7 @@ def families(draw, max_points: int = 120):
 @example(PointSet.from_coords(ChainProductLattice((3, 3, 3, 3)), [
     (0, 0, 2, 2), (0, 1, 1, 2), (0, 2, 0, 2), (1, 2, 0, 0), (2, 0, 2, 1), (2, 1, 1, 1)]))
 def test_mask_verifiers_match_naive_oracles(s):
+    _certified(s)
     for prop in PROPERTIES:
         assert satisfies(s, prop) == NAIVE_CHECKS[prop](s)
         assert find_violation(s, prop) == naive_find_violation(s, prop)
@@ -153,6 +166,11 @@ def test_min_quad_matches_full_count():
             for bound in bounds:
                 want = first if first and first[0] <= bound else None
                 assert count(vals, op, bound) == want, (s, op, bound)
+                got = verify._min_quad(vals, op, bound)
+                if got is None or got[1] is not None:
+                    assert got == want, (s, op, bound)
+                else:
+                    assert got[0] <= bound[:2] and (want is None or want[0][:2] >= got[0])
         assert find_violation(s, "recovering") == naive_find_violation(s, "recovering")
     # both the bitset search and the count decided some of the cases
     assert targeted > 100 and undecided > 100, (targeted, undecided)
@@ -184,16 +202,16 @@ def test_recovering_violation_of_greedy_subfamilies():
 
 def _spy_searches(monkeypatch) -> list:
     # (search, bound, result) of each search find_violation runs, in order:
-    # "MeetQuad" is the bitset search, which takes no bound and whose result
-    # is the pair it stopped at if its budget ran out, "MeetQuad count" the
-    # count, "MeetTriple" the triple search; the Join ones likewise
+    # "MeetQuad" is the bitset search, whose result is the pair it stopped
+    # at if its budget ran out, "MeetQuad count" the count, "MeetTriple" the
+    # triple search; the Join ones likewise
     calls = []
 
     def spy(name, search):
-        def run(vals, op, *bound):
-            got = search(vals, op, *bound)
+        def run(vals, op, bound=None, *tables):
+            got = search(vals, op, bound, *tables)
             calls.append((("Meet" if op is operator.and_ else "Join") + name,
-                          *bound, got and got[0]))
+                          bound, got and got[0]))
             return got
         return run
 
@@ -215,7 +233,7 @@ def test_early_quad_bounds_the_triple_searches(monkeypatch):
     calls = _spy_searches(monkeypatch)
     quad = (0, 3, 1, 2)
     assert find_violation(s, "recovering").kind == "MeetQuad"
-    assert calls == [("MeetQuad", quad), ("JoinQuad", quad),
+    assert calls == [("MeetQuad", None, quad), ("JoinQuad", quad, quad),
                      ("MeetTriple", quad, None), ("JoinTriple", quad, None)]
 
 
@@ -228,8 +246,8 @@ def test_undecided_quads_wait_for_the_triples(monkeypatch, seed, skips_count):
     s = _random_boolean_family(40, random.Random(seed).sample(range(1 << 40), 64))
     calls = _spy_searches(monkeypatch)
     assert find_violation(s, "recovering").kind == "MeetTriple"
-    assert [call[0] for call in calls[:2]] == ["MeetQuad", "JoinQuad"]
-    frontiers = [call[1] for call in calls[:2]]
+    assert [call[:2] for call in calls[:2]] == [("MeetQuad", None), ("JoinQuad", None)]
+    frontiers = [call[2] for call in calls[:2]]
     assert all(len(frontier) == 2 for frontier in frontiers)
     triple = calls[2][2]
     assert all((triple[:2] < frontier) == skips_count for frontier in frontiers)
@@ -252,7 +270,7 @@ def test_quad_opening_at_the_frontier_is_counted(monkeypatch, seed):
     assert v == naive_find_violation(s, "recovering") and v.kind == "MeetQuad"
     assert [call[0] for call in calls] == ["MeetQuad", "JoinQuad", "MeetTriple",
                                            "JoinTriple", "MeetQuad count"]
-    frontier, triple, (_, bound, quad) = calls[0][1], calls[2][2], calls[4]
+    frontier, triple, (_, bound, quad) = calls[0][2], calls[2][2], calls[4]
     assert triple[:2] == frontier == quad[:2] and bound == triple and quad < triple
 
 
@@ -290,3 +308,100 @@ def test_bounded_count_holds_only_the_bound_pairs_values():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[0] * 10 < peaks[1]
+
+
+def _chain(rng, lattice) -> list:
+    # a chain of 2 to 5 points: each one raises some coordinates of the last
+    p = [rng.randrange(l) for l in lattice.lengths]
+    chain = [tuple(p)]
+    for _ in range(rng.randint(1, 4)):
+        up = [i for i, l in enumerate(lattice.lengths) if p[i] < l - 1]
+        if not up:
+            break
+        for i in rng.sample(up, rng.randint(1, len(up))):
+            p[i] = rng.randint(p[i] + 1, lattice.lengths[i] - 1)
+        chain.append(tuple(p))
+    return chain
+
+
+def test_triple_certificate_is_sound():
+    # subfamilies of the power construction, which the certificate proves
+    # free, with chains and random points added, greedy cancellative
+    # families, and random families of B_12 to B_20, whose first triple is
+    # often past the first anchor and whose differences pass the cap:
+    # whatever it proves free has no triple, and two comparable members
+    # leave it nothing to prove, since the lower one is on the wrong side
+    # of their difference
+    rng = random.Random(2018)
+    shapes = [(2, n) for n in range(3, 9)] + [(3, 3), (3, 4), (4, 3), (5, 2), (3, 5)]
+    outcomes = Counter()
+    for trial in range(600):
+        l, k = shapes[trial % len(shapes)]
+        base = power_construction(l, k)
+        lattice = base.lattice
+        points = [p.coords for p in base.points if rng.random() < 0.8]
+        randoms = [tuple(rng.randrange(l) for _ in range(k)) for _ in range(40)]
+        if trial % 5 == 1:
+            points += _chain(rng, lattice)
+        elif trial % 5 == 2:
+            points += randoms[:rng.randint(1, 3)]
+        elif trial % 5 == 3:
+            width = rng.choice((12, 16, 20))
+            lattice = ChainProductLattice.boolean(width)
+            points = [tuple(rng.randrange(2) for _ in range(width))
+                      for _ in range(rng.randint(10, 24))]
+        elif trial % 5 == 4:
+            points = []
+            for p in dict.fromkeys(randoms):
+                if naive_is_cancellative(PointSet.from_coords(lattice, points + [p])):
+                    points.append(p)
+        s = PointSet.from_coords(lattice, list(dict.fromkeys(points)))
+        free = _certified(s)
+        comparable = any(all(map(operator.le, p.coords, q.coords))
+                         for p in s.points for q in s.points if p != q)
+        if comparable and s.size >= 3:
+            assert free == [], s
+        for op, naive_op in ((operator.and_, _meet), (operator.or_, _join)):
+            triple = _first_triple(sorted(s.points, key=canonical_key), naive_op)
+            outcomes[op in free, triple is None] += 1
+    # proofs, and families without a triple that it leaves to the scan
+    assert outcomes[True, True] > 150 and outcomes[False, True] > 60, outcomes
+    assert outcomes[False, False] > 400, outcomes
+
+
+def test_triple_certificate_spares_the_scans_of_constructions(monkeypatch):
+    # the block family has |S| - 1 distinct differences, power(3, 8) 3.15 |S|:
+    # the certificate settles strongly cancellative without a triple scan
+    scans = []
+    search = verify._min_triple
+
+    def spy(vals, op, bound=None):
+        scans.append(op)
+        return search(vals, op, bound)
+
+    monkeypatch.setattr(verify, "_min_triple", spy)
+    for s in [block_construction_bn(n) for n in range(4, 21, 2)] + [power_construction(3, 8)]:
+        assert satisfies(s, "strongly_cancellative")
+        assert find_violation(s, "strongly_cancellative") is None
+        assert scans == [], s.lattice
+    # power(4, 6) has more than 4 |S| differences: the certificate gives up
+    s = power_construction(4, 6)
+    encode, _ = mask_codec(s.lattice)
+    vals = [encode(p) for p in s.points]
+    assert len({a ^ b for a in vals for b in vals if a != b}) > 4 * len(vals)
+    assert satisfies(s, "strongly_cancellative") and len(scans) == 2
+
+
+def test_early_meet_quad_bounds_the_join_quad_search(monkeypatch):
+    # 1024 random points of B_40: the MeetQuad search finds a quad early,
+    # and the JoinQuad search, which unbounded would run out of budget and
+    # return its frontier, stops after that quad's first pair
+    s = _random_boolean_family(40, random.Random(1).sample(range(1 << 40), 1024))
+    calls = _spy_searches(monkeypatch)
+    v = find_violation(s, "recovering")
+    (_, _, quad), (_, bound, got) = calls[:2]
+    assert v.kind == "MeetQuad" and bound == quad and got is None
+    encode, _ = mask_codec(s.lattice)
+    vals = [encode(p) for p in sorted(s.points, key=canonical_key)]
+    monkeypatch.undo()
+    assert verify._min_quad(vals, operator.or_)[1] is None
