@@ -15,13 +15,14 @@ distinct value or on rows that hold a collision.
 The triple searches hold one row at a time; is_recovering holds the pair
 values seen so far.  Before a triple search that no witness bounds, a
 certificate tries to prove its kind triple-free from the family's
-distinct pairwise differences:
+pairwise differences:
 anchor ^ b = anchor ^ c iff anchor & (b xor c) = 0, and anchor v b =
 anchor v c iff b xor c lies within anchor, so a triple needs a member on
-the wrong side of some difference.  One set pass over the pairs collects
-the differences, each checked once by bitsets over the members, one per
-mask bit.  It needs few distinct differences: the block family has
-|S| - 1 of them, and past 4 |S| the certificate gives up and the scan
+the wrong side of some difference.  The differences lie in the span over
+GF(2) of the first member's row of differences; each element of that
+span is checked by bitsets over the members, one per mask bit.  It needs
+a small span: the block family is a coset of a linear code, so its span
+has |S| elements, and past 4 |S| the certificate gives up and the scan
 decides.
 find_violation's quad search walks the quad's first pair in order and
 finds the rest from the same bitsets, so an early quad costs little time
@@ -43,7 +44,7 @@ import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Optional
 
 from .entropy import Distribution, entropy
@@ -187,19 +188,17 @@ def _triple_free(vals: list, ops, tables: Optional[tuple] = None) -> list:
     member on the wrong side of a difference d of two members: without any
     bit of d for meet, with every bit of d for join.  Those members are
     the AND of lacks[t] (of has[t] for join) over the bits t of d, so each
-    distinct difference costs a few bitset operations.  A kind with no
-    member on the wrong side of any difference has no triple.  Any other
-    outcome proves nothing, since that member may be b or c itself, as when
-    b < c.
+    d costs a few bitset operations.  A kind with no member on the wrong
+    side of any d has no triple.  Any other outcome proves nothing, since
+    that member may be b or c itself, as when b < c.
 
-    One set pass collects the distinct differences row by row, as pair
-    values, and the checks see each once.  Past 4 |S| of them it gives
-    up.  The checks wait while the differences so far, plus as many new
-    ones in each row left as the later half of the rows so far brought on
-    average, would pass that cap: a family whose differences keep growing
-    gives up without them, and a failing one whose differences stop
-    growing shows its wrong side early.
-    Before the pass, it gives up if the first anchor holds a collision of
+    Every difference b ^ c is (a ^ b) ^ (a ^ c) for the first member a, so
+    the differences lie in the span over GF(2) of the row a ^ b, b in S.
+    Each row value outside the span so far doubles it; it gives up instead
+    when that would take the span past 4 |S| elements.  Otherwise it
+    checks every nonzero element of the span, real difference or not: one
+    that is not can only make it prove less.
+    Before the span, it gives up if the first anchor holds a collision of
     any kind, where a failing family usually shows its triple: the scan
     that finds it decides, and bounds the other kind's.
     """
@@ -208,43 +207,30 @@ def _triple_free(vals: list, ops, tables: Optional[tuple] = None) -> list:
         return list(ops)
     if any(len(set(map(op, repeat(vals[0]), vals))) < n for op in ops):
         return []
-    ops = list(ops)
-    cap = 4 * n
-    checked: set = set()
-    unchecked: set = set()
-    # sizes[i] is the number of differences in the first i rows
-    sizes = [0]
-    for i, a in enumerate(vals):
-        if not ops:
-            break
-        rest = vals[i + 1 :]
-        if not checked.issuperset(map(operator.xor, repeat(a), rest)):
-            unchecked.update(filterfalse(checked.__contains__, map(operator.xor, repeat(a), rest)))
-        sizes.append(len(checked) + len(unchecked))
-        if sizes[-1] > cap:
-            return []
-        half = (i + 1) // 2
-        rate = (sizes[-1] - sizes[half]) / (i + 1 - half)
-        if sizes[-1] + rate * (n - 1 - i) > cap:
-            continue
-        if tables is None:
-            tables = _bit_tables(vals)
-        for op in list(ops):
-            # the members on the wrong side: lacks for meet, has for join
-            wrong = tables[op is operator.and_]
-            for d in unchecked:
+    span = {0}
+    for d in map(operator.xor, repeat(vals[0]), vals):
+        if d not in span:
+            if 2 * len(span) > 4 * n:
+                return []
+            span |= {s ^ d for s in span}
+    span.discard(0)
+    tables = tables or _bit_tables(vals)
+    free = []
+    for op in ops:
+        # the members on the wrong side: lacks for meet, has for join
+        wrong = tables[op is operator.and_]
+        for d in span:
+            low = d & -d
+            members, d = wrong[low], d ^ low
+            while d and members:
                 low = d & -d
-                members, d = wrong[low], d ^ low
-                while d and members:
-                    low = d & -d
-                    members &= wrong[low]
-                    d ^= low
-                if members:
-                    ops.remove(op)
-                    break
-        checked |= unchecked
-        unchecked.clear()
-    return ops
+                members &= wrong[low]
+                d ^= low
+            if members:
+                break
+        else:
+            free.append(op)
+    return free
 
 
 def _min_triple(vals: list, op: Callable, bound: Optional[tuple] = None):

@@ -370,8 +370,9 @@ def test_triple_certificate_is_sound():
 
 
 def test_triple_certificate_spares_the_scans_of_constructions(monkeypatch):
-    # the block family has |S| - 1 distinct differences, power(3, 8) 3.15 |S|:
-    # the certificate settles strongly cancellative without a triple scan
+    # the differences of the block family span |S| elements, those of
+    # power(3, 8) 2^8 = 3.16 |S|: the certificate settles strongly
+    # cancellative without a triple scan, up to the 4096 points of B_24
     scans = []
     search = verify._min_triple
 
@@ -380,16 +381,27 @@ def test_triple_certificate_spares_the_scans_of_constructions(monkeypatch):
         return search(vals, op, bound)
 
     monkeypatch.setattr(verify, "_min_triple", spy)
-    for s in [block_construction_bn(n) for n in range(4, 21, 2)] + [power_construction(3, 8)]:
+    for s in [block_construction_bn(n) for n in range(4, 25, 2)] + [power_construction(3, 8)]:
         assert satisfies(s, "strongly_cancellative")
         assert find_violation(s, "strongly_cancellative") is None
         assert scans == [], s.lattice
-    # power(4, 6) has more than 4 |S| differences: the certificate gives up
-    s = power_construction(4, 6)
-    encode, _ = mask_codec(s.lattice)
-    vals = [encode(p) for p in s.points]
-    assert len({a ^ b for a in vals for b in vals if a != b}) > 4 * len(vals)
-    assert satisfies(s, "strongly_cancellative") and len(scans) == 2
+    # the differences of power(4, 6) span 2^9 = 8 |S| elements, and those
+    # of power(4, 8) 2^12 = 16 |S|: the certificate gives up, although both
+    # are triple-free, and the scans prove them
+    for s, rank in ((power_construction(4, 6), 9), (power_construction(4, 8), 12)):
+        encode, _ = mask_codec(s.lattice)
+        vals = [encode(p) for p in sorted(s.points, key=canonical_key)]
+        basis: list = []
+        for d in (vals[0] ^ b for b in vals):
+            # reduce d by the basis, whose leading bits are distinct
+            for e in basis:
+                d = min(d, d ^ e)
+            if d:
+                basis = sorted(basis + [d], reverse=True)
+        assert len(basis) == rank and 2 ** rank > 4 * len(vals)
+        assert verify._triple_free(vals, (operator.and_, operator.or_)) == []
+        scans.clear()
+        assert satisfies(s, "strongly_cancellative") and len(scans) == 2
 
 
 def test_early_meet_quad_bounds_the_join_quad_search(monkeypatch):
