@@ -30,9 +30,12 @@ and no table of pair values.  find_violation runs each search once: these
 bitset searches first and the triple searches next.  A bitset search that
 spent 2 |S| operations without deciding returns the pair it stopped at,
 and its kind counts every pair value only if a quad that opens there or
-later can still beat or tie the best witness so far.  Each search gets
-the best witness so far as its bound and stops once it can no longer
-beat or tie it.
+later can still beat or tie the best witness so far; the bitset search
+then runs again, without a budget, over the pairs whose value repeats.
+Each search takes the best witness so far as its bound, only as the
+place to stop: it returns its first witness whose first pair (a triple's
+anchor) is at or before the bound's, and find_violation keeps the
+smallest.
 
 Families of size <= 2 satisfy every property vacuously: the definitions
 quantify over three or four distinct points.
@@ -40,11 +43,12 @@ quantify over three or four distinct points.
 
 from __future__ import annotations
 
+import math
 import operator
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Callable, Optional
 
 from .entropy import Distribution, entropy
@@ -259,14 +263,14 @@ def _min_triple(vals: list, op: Callable, bound: Optional[tuple] = None):
 
 
 def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
-              tables: Optional[tuple] = None):
+              tables: Optional[tuple] = None, repeated: Optional[set] = None):
     """Lexicographically first (p0, p1, q0, q1), pairs disjoint, equal values,
-    and its value; None when there is none, or none up to the bound, a tie
-    included; or ((p0, p1), None) when its budget ran out at the pair
-    (p0, p1), before which no quad opens.
+    and its value; None when there is none with its first pair at or before
+    the bound's (the best witness so far); or ((p0, p1), None) when its
+    budget ran out at the pair (p0, p1), before which no quad opens.
 
     The first pair (p0, p1) runs over the pairs in lex order, and with a
-    bound (the best witness so far) stops after the bound's first pair.
+    bound stops after the bound's first pair.
     Its meet v lies below both other points of the quad, so those are
     members above p0, other than p1, whose masks hold every bit of v: the
     AND of has[t] over the bits t of v (_bit_tables).  Such a q0 meets a
@@ -281,11 +285,13 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
     pair, each about as long as the count spends on one pair value, so
     after 2 |S| operations without a quad it stops at the next pair, the
     frontier.  find_violation then has _min_quad_by_count decide, unless
-    the best witness so far opens before the frontier, so that no quad
-    left can beat or tie it.
+    the best witness so far opens before the frontier.
     That budget is twice what any construction needs (at most
     1.76 |S|, on power_construction(5, 4)); a quad-free family pays it and
     the bitsets on top of the count, 1-3% of it at 512 to 1024 members.
+    Given the set of the pair values that occur twice (repeated), it has
+    no budget and tries only the pairs of those values, since no other
+    pair opens a quad.
     """
     n = len(vals)
     if n < 4:
@@ -295,15 +301,19 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
     if op is operator.or_:
         full = reduce(operator.or_, vals)
         masks, has, lacks = [full ^ a for a in vals], lacks, has
-    last = bound[:2] if bound else (n, n)
+    last = bound[:2] if bound else (n - 1, n - 1)
     everyone = (1 << n) - 1
 
-    budget = 2 * n
-    for p0 in range(n):
+    budget = 2 * n if repeated is None else math.inf
+    for p0 in range(last[0] + 1):
+        seconds = range(p0 + 1, n if p0 < last[0] else last[1] + 1)
+        if repeated is not None:
+            row = list(map(op, repeat(vals[p0]), vals[p0 + 1 :]))
+            if repeated.isdisjoint(row):
+                continue
+            seconds = compress(seconds, map(repeated.__contains__, row))
         above = everyone ^ ((2 << p0) - 1)
-        for p1 in range(p0 + 1, n):
-            if (p0, p1) > last:
-                return None
+        for p1 in seconds:
             if budget < 0:
                 return (p0, p1), None
             v = masks[p0] & masks[p1]
@@ -327,25 +337,22 @@ def _min_quad(vals: list, op: Callable, bound: Optional[tuple] = None,
                     x ^= low
                     budget -= 1
                 if partners:
-                    quad = (p0, p1, q0, (partners & -partners).bit_length() - 1)
-                    if bound and quad > bound:
-                        return None
-                    return quad, op(vals[p0], vals[p1])
+                    q1 = (partners & -partners).bit_length() - 1
+                    return (p0, p1, q0, q1), op(vals[p0], vals[p1])
             budget -= 1
     return None
 
 
-def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None):
+def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None,
+                       tables: Optional[tuple] = None):
     """_min_quad by counting every pair value: O(|S|^2) time and memory
     whatever the answer.
 
-    With a bound (the best witness so far) only a quad up to it, a tie
-    included, is reported.  Such a quad opens with a pair (p0, p1) up to
-    the bound's first two indices, so only the values of those pairs are
-    counted over all pairs.  The pairs of each value that occurs twice are
-    indexed; the first of them with a disjoint partner, found from point
-    degrees, and its first such partner give the quad of that value, and
-    the smallest over all values wins.
+    The values that occur twice are the only ones a quad can have, and
+    _min_quad over just their pairs needs no budget.  With a bound only a
+    quad whose first pair (p0, p1) is at or before the bound's can be
+    reported, so only the values of those pairs are counted over all
+    pairs.
     """
     n = len(vals)
 
@@ -365,27 +372,7 @@ def _min_quad_by_count(vals: list, op: Callable, bound: Optional[tuple] = None):
         for row in rows():
             counts.update(filter(wanted.__contains__, row))
     twice = {v for v, c in counts.items() if c > 1}
-    if not twice:
-        return None
-
-    index = defaultdict(list)
-    for p0, row in enumerate(rows()):
-        if not twice.isdisjoint(row):
-            for j, v in enumerate(row):
-                if v in twice:
-                    index[v].append((p0, p0 + 1 + j))
-    best = None
-    for v, pairs in index.items():
-        degree = Counter(chain.from_iterable(pairs))
-        for x, (a, b) in enumerate(pairs):
-            # len(pairs) - degree[a] - degree[b] + 1 pairs avoid a and b; the
-            # first pair that has such a partner has all of them after it
-            if degree[a] + degree[b] <= len(pairs):
-                q = next(q for q in pairs[x + 1 :] if a not in q and b not in q)
-                if best is None or (a, b) + q < best[0]:
-                    best = ((a, b) + q, v)
-                break
-    return best if best is None or bound is None or best[0] <= bound else None
+    return _min_quad(vals, op, bound, tables, twice) if twice else None
 
 
 # the mask operator of each kind, in the order of _KINDS
@@ -408,12 +395,13 @@ def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
     searches, then the O(|S|^2) triple searches, then the pair-value count
     of each quad kind whose bitset search stopped at a frontier pair,
     unless the first two indices of the best witness so far come before
-    it.  Each search gets the best witness so far as its bound and reports
-    its first witness if that is up to the bound, a tie included, so the
-    smallest witness found, a tie going to the earlier kind, is the
-    answer.  Without a witness to bound them the triple searches run only
-    for the kinds that _triple_free does not prove free; the certificate
-    and the quad searches share one _bit_tables.
+    it.  Each search gets the best witness so far as its bound and returns
+    its first witness whose first pair (a triple's anchor) is at or before
+    the bound's; the smallest witness found, a tie going to the earlier
+    kind, is the answer.  Without a witness to bound them the triple
+    searches run only for the kinds that _triple_free does not prove free;
+    the certificate and the quad searches, the count's included, share one
+    _bit_tables.
     """
     prop = normalize_property(prop)
     pts = sorted(s.points, key=canonical_key)
@@ -449,7 +437,7 @@ def find_violation(s: PointSet, prop: str) -> Optional[Violation]:
     for rank, frontier in frontiers:
         best = bound()
         if best is None or best[:2] >= frontier:
-            keep(rank, _min_quad_by_count(vals, _KIND_OPS[rank], best))
+            keep(rank, _min_quad_by_count(vals, _KIND_OPS[rank], best, tables))
     if not found:
         return None
     indices, rank, value = min(found)

@@ -162,6 +162,20 @@ def test_violation_witnesses_actually_violate():
         assert len(set(w)) == len(w)
 
 
+_P = [Point((0, i)) for i in range(4)]
+
+
+@pytest.mark.parametrize("kind, witnesses, message", [
+    ("MeetPair", _P[:2], "unknown violation kind"),
+    ("MeetTriple", _P, "MeetTriple needs 3 witnesses, got 4"),
+    ("JoinQuad", _P[:3], "JoinQuad needs 4 witnesses, got 3"),
+    ("MeetQuad", (_P[0], _P[1], _P[2], _P[0]), "witnesses must be distinct"),
+])
+def test_violation_rejects_malformed_witnesses(kind, witnesses, message):
+    with pytest.raises(ValueError, match=message):
+        Violation(kind, tuple(witnesses), _P[0])
+
+
 def test_verifiers_match_naive_oracles():
     rng = random.Random(4242)
     fast = {

@@ -127,10 +127,11 @@ def test_mask_verifiers_match_naive_oracles(s):
 
 
 def test_min_quad_matches_full_count():
-    # the bitset quad search against the full pair-value count: where it
-    # decides, it agrees with the count; where its budget runs out, no
-    # quad opens before the pair it stopped at.  The count with a bound
-    # reports its first quad iff that quad is up to the bound
+    # the bitset quad search and the pair-value count against the naive
+    # first quad: where the bitset search decides, it finds that quad;
+    # where its budget runs out, no quad opens before the pair it stopped
+    # at.  With a bound, each reports the first quad iff its first pair is
+    # at or before the bound's
     rng = random.Random(2011)
     lattices = [ChainProductLattice.boolean(n) for n in (4, 5, 6, 7)] + [
         ChainProductLattice(lengths) for lengths in
@@ -149,10 +150,13 @@ def test_min_quad_matches_full_count():
             points = kept
         s = PointSet(lattice, tuple(points[:10]))
         encode, _ = mask_codec(lattice)
-        vals = [encode(p) for p in sorted(s.points, key=canonical_key)]
+        pts = sorted(s.points, key=canonical_key)
+        vals = [encode(p) for p in pts]
         n = len(vals)
-        for op in (operator.and_, operator.or_):
-            first = count(vals, op)
+        for op, naive_op in ((operator.and_, _meet), (operator.or_, _join)):
+            quad = _first_quad(pts, naive_op)
+            first = quad and (quad, op(vals[quad[0]], vals[quad[1]]))
+            assert count(vals, op) == first, (s, op)
             got = verify._min_quad(vals, op)
             if got is not None and got[1] is None:
                 undecided += 1
@@ -164,7 +168,7 @@ def test_min_quad_matches_full_count():
             bounds = [found[0] for found in (triple, first) if found]
             bounds += [tuple(rng.sample(range(n), k)) for k in (3, 4) if n >= k]
             for bound in bounds:
-                want = first if first and first[0] <= bound else None
+                want = first if first and first[0][:2] <= bound[:2] else None
                 assert count(vals, op, bound) == want, (s, op, bound)
                 got = verify._min_quad(vals, op, bound)
                 if got is None or got[1] is not None:
@@ -204,14 +208,22 @@ def _spy_searches(monkeypatch) -> list:
     # (search, bound, result) of each search find_violation runs, in order:
     # "MeetQuad" is the bitset search, whose result is the pair it stopped
     # at if its budget ran out, "MeetQuad count" the count, "MeetTriple" the
-    # triple search; the Join ones likewise
+    # triple search; the Join ones likewise.  The count's own bitset search
+    # runs inside it and is not recorded
     calls = []
+    depth = 0
 
     def spy(name, search):
-        def run(vals, op, bound=None, *tables):
-            got = search(vals, op, bound, *tables)
-            calls.append((("Meet" if op is operator.and_ else "Join") + name,
-                          bound, got and got[0]))
+        def run(vals, op, bound=None, *rest):
+            nonlocal depth
+            depth += 1
+            try:
+                got = search(vals, op, bound, *rest)
+            finally:
+                depth -= 1
+            if not depth:
+                calls.append((("Meet" if op is operator.and_ else "Join") + name,
+                              bound, got and got[0]))
             return got
         return run
 
@@ -289,7 +301,7 @@ def test_count_finds_first_quad_without_triples():
             bounds = [None, first, first[:3], first[:3] + (first[3] + 1,)]
             bounds += [tuple(rng.sample(range(len(pts)), k)) for k in (3, 4, 3, 4, 3, 4)]
             for bound in bounds:
-                want = first if bound is None or first <= bound else None
+                want = first if bound is None or first[:2] <= bound[:2] else None
                 got = verify._min_quad_by_count(vals, op, bound)
                 assert (got[0] if got else None) == want, (s, op, bound)
                 if got:
