@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .bounds import (
     applicable_bounds,
@@ -145,7 +146,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     progress = None
     if args.progress > 0:
         def progress(nodes: int, best: int) -> None:
-            print(f"nodes={nodes} best={best}", file=sys.stderr)
+            elapsed = time.perf_counter() - start
+            rate = nodes / elapsed if elapsed > 0 else 0
+            print(f"nodes={nodes} best={best} elapsed_s={elapsed:.3f} nodes_per_s={rate:.0f}",
+                  file=sys.stderr)
 
     config = SearchConfig(
         lattice=lattice,
@@ -157,6 +161,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         progress_interval=args.progress,
         progress=progress,
     )
+    start = time.perf_counter()
     result = run_search(config)
     payload = {
         "lattice": format_lattice_spec(lattice),

@@ -40,7 +40,8 @@ the number of candidates, and exact search stops filtering once fewer
 candidates remain than its target still needs: the O(|F|) triple sets
 come first, and recovering's quad sets only when the triples leave
 enough.  Exact search caches the sets under int keys; greedy, which meets
-each pair once, builds them afresh.
+each pair once, builds them afresh.  A triple set reads, per chain, the
+six slices of the digits of b and j from a table filled on first use.
 
 After a completed search the witness is a c-pruned rerun that returns the
 canonically first family of the optimal size; nodes_explored counts the
@@ -51,26 +52,29 @@ Both the stages and the rerun break symmetry by lex-leader pruning
 search problems", KR 1996).  Swapping any two chains of equal length is
 a lattice automorphism, and reversing every chain swaps meet and join,
 which preserves strongly cancellative and recovering (not cancellative).
-These generators act on point indices arithmetically.  Each node carries,
-per generator g, the sorted image g(P) of its ascending prefix P; a child
-inserts g(j) into a copy of its parent's list.  A child is cut, before it
-costs a node, when sorted g(P) < P as lists for some g.  Where the two
-first differ, g(P) holds the smaller point; every completion F of P adds
-only points above P, so sorted g(F) < F as well, F is not the
-lexicographically first family of its orbit, and that family survives
-elsewhere in the tree.  The rerun uses every generator, since the
-canonical witness is the first family of its orbit.  Stage i asks about
-families inside {i..n-1} that start at i, so it uses only the generators
-that fix i and map {i..n-1} into itself; the first such family is the
-first of its orbit, so every stage finds the family it found without
-symmetry and c[] keeps its meaning.  As i falls, each generator g keeps
-low, the least of g(i..n-1); g serves stage i when low == i == g(i).
+These generators act on point indices arithmetically.  A child is cut,
+before it costs a node, when sorted g(P) < P as lists for some g, P being
+its ascending prefix.  Where the two first differ, g(P) holds the smaller
+point; every completion F of P adds only points above P, so sorted
+g(F) < F as well, F is not the lexicographically first family of its
+orbit, and that family survives elsewhere in the tree.  P and g(P) have
+the same size, so the cut holds exactly when the lowest point in one of
+them only lies in g(P); each node keeps P and every g(P) as index
+bitsets, and a child ORs in the bits of j and g(j).  The rerun uses every
+generator, since the canonical witness is the first family of its orbit.
+Stage i asks about families inside {i..n-1} that start at i, so it uses
+only the generators that fix i and map {i..n-1} into itself; the first
+such family is the first of its orbit, so every stage finds the family it
+found without symmetry and c[] keeps its meaning.  As i falls, each
+generator g keeps low, the least of g(i..n-1); g serves stage i when
+low == i == g(i).  The g(i) of each stage go into a list per generator,
+from which nodes read g(j), and the rerun completes the lists down to
+g(0): no table per point is built ahead.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
@@ -204,6 +208,22 @@ def _symmetries(lattice: ChainProductLattice, prop: str) -> list[Callable]:
     return gens
 
 
+def _child_images(tables: list, images: list, r: int, points: int) -> Optional[list]:
+    """Lex-leader test of a child P + {j}, given as the bitset `points`:
+    per generator g, tables[g][r] is g(j) and images[g] the bitset of g(P).
+    The bitsets of the g(P + {j}), or None when for some g sorted g(P + {j})
+    < sorted P + {j} as lists.  Both sets have the same size, so that holds
+    exactly when the lowest point in only one of them lies in the image."""
+    child = []
+    for table, image in zip(tables, images):
+        image |= 1 << table[r]
+        low = image ^ points
+        if image & low & -low:
+            return None
+        child.append(image)
+    return child
+
+
 def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
                 cache_bits: int) -> Callable[[list, int, int, int], int]:
     """excl(F, j, cands, need): cands less the points k for which F + {j, k}
@@ -215,17 +235,20 @@ def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
     full filter would leave fewer than need too.  Recovering's quad sets
     follow only when the triples leave at least need points.  excl keeps
     the sets under int keys in a cache that it empties once it would pass
-    about cache_bits bits."""
+    about cache_bits bits, and with it the per-chain slice tables."""
     n = len(vals)
     full = (1 << n) - 1
-    # per chain of l > 1 elements: its mask block and, by value x, the
-    # bitsets of the points whose digit is == x, >= x and <= x
+    # per chain of l > 1 elements: its mask block, its width l - 1, the table
+    # of triples' slices by pair of digits and whether to fill it, and, by
+    # value x, the bitsets of the points whose digit is == x, >= x and <= x.
+    # A chain with more pairs of digits than the lattice has points keeps no
+    # table: most of its pairs come up once, as on a single chain.
     chains = []
     offset = 0
     for l, w in zip(lattice.lengths, _weights(lattice)):
         if l > 1:
             repeat = full // ((1 << w * l) - 1)  # bit 0 of every period
-            chains.append((((1 << l - 1) - 1) << offset,
+            chains.append((((1 << l - 1) - 1) << offset, l - 1, {}, l * l <= n,
                            [((1 << w) - 1 << x * w) * repeat for x in range(l)],
                            [((1 << (l - x) * w) - 1 << x * w) * repeat for x in range(l)],
                            [((1 << (x + 1) * w) - 1) * repeat for x in range(l)]))
@@ -236,29 +259,44 @@ def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
         per chain, k's digit is v's where v and z differ, else at least
         (join: at most) z's."""
         x = full
-        for block, eq, ge, le in chains:
+        for block, _, _, _, eq, ge, le in chains:
             zs = (z & block).bit_count()
             vs = (v & block).bit_count()
             x &= eq[vs] if vs != zs else le[zs] if join else ge[zs]
         return x
 
+    def slices(eq: list, ge: list, le: list, bs: int, js: int) -> tuple:
+        """On one chain where b has digit bs and j has js, the slices of the
+        six triple sets of triples(b, j), in its order."""
+        if bs < js:
+            return ge[bs], eq[bs], le[bs], eq[js], le[js], ge[js]
+        if bs > js:
+            return eq[js], ge[js], le[js], le[bs], eq[bs], ge[bs]
+        return ge[bs], ge[bs], full, le[bs], le[bs], full
+
     def triples(b: int, j: int) -> int:
         """The points k that violate the property with b and j, in one pass
         over the chains: k&b = j&b, k&j = b&j and k&b = k&j (no condition
-        where b and j agree), and for all but cancellative the join duals."""
-        mb = mj = ms = jb = jj = js_ = full
-        for block, eq, ge, le in chains:
-            bs = (b & block).bit_count()
-            js = (j & block).bit_count()
-            mb &= ge[bs] if bs <= js else eq[js]
-            mj &= ge[js] if js <= bs else eq[bs]
-            jb &= le[bs] if bs >= js else eq[js]
-            jj &= le[js] if js >= bs else eq[bs]
-            if bs != js:
-                ms &= le[min(bs, js)]
-                js_ &= ge[max(bs, js)]
+        where b and j agree), and for all but cancellative the join duals.
+        A chain keeps the six slices of each pair of digits that has come
+        up, under the key of the pair's masks."""
+        mb = mj = ms = jb = jj = js = full
+        for block, width, table, keep, eq, ge, le in chains:
+            key = (b & block) << width | j & block
+            pair = table.get(key)
+            if pair is None:
+                pair = slices(eq, ge, le, (b & block).bit_count(), (j & block).bit_count())
+                if keep:
+                    table[key] = pair
+            smb, smj, sms, sjb, sjj, sjs = pair
+            mb &= smb
+            mj &= smj
+            ms &= sms
+            jb &= sjb
+            jj &= sjj
+            js &= sjs
         x = mb | mj | ms
-        return x if prop == CANCELLATIVE else x | jb | jj | js_
+        return x if prop == CANCELLATIVE else x | jb | jj | js
 
     cache: dict[int, int] = {}
     get = cache.get
@@ -272,6 +310,8 @@ def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
         hi, lo = key >> offset + 2, key >> 2 & (1 << offset) - 1
         if len(cache) >= limit:
             cache.clear()
+            for chain in chains:
+                chain[2].clear()
         s = cache[key] = product(lo, hi, kind == 2) if kind else triples(hi, lo)
         return s
 
@@ -341,49 +381,45 @@ def exact_max(config: SearchConfig) -> SearchResult:
     progress = config.progress
     interval = config.progress_interval if progress is not None else 0
 
-    images: list = []  # the symmetry generators in use, as index maps
+    top = n - 1
+    tables: list = []  # per generator in use, g(n-1-r) at index r
 
-    def first_of_size(cands: int, target: int, sorted_images: list) -> Optional[tuple]:
+    def first_of_size(cands: int, target: int, points: int, images: list) -> Optional[tuple]:
         """Canonically first way to extend the chosen points to `target`
         points from cands, the bitset of the later points that still fit,
-        or None (also when the budget ran out).  sorted_images holds, per
-        generator in `images`, the sorted image of the chosen points; a
-        child is skipped, before it costs a node, when some generator maps
-        it to a smaller sorted list.  Every child is one node; the budget
-        is checked after each."""
+        or None (also when the budget ran out).  points is the bitset of the
+        chosen points and images holds, per generator in `tables`, the
+        bitset of their images.  A child is skipped, before it costs a node,
+        when some generator maps it to a smaller sorted list.  Every child
+        is one node; the budget is checked after each."""
         nonlocal nodes, stopped
-        size = len(chosen)
+        need = target - len(chosen) - 1  # the points still needed after the next
         while cands:
-            j = (cands & -cands).bit_length() - 1
-            cands &= cands - 1  # the candidates after j
-            if size + c[j] < target or size + 1 + cands.bit_count() < target:
+            bit = cands & -cands
+            cands ^= bit  # the candidates after j
+            j = bit.bit_length() - 1
+            if c[j] <= need or cands.bit_count() < need:
                 return None  # both only shrink as j grows: no later j can do better
-            child_images = sorted_images
-            if images:
-                child = chosen + [j]
-                child_images = []
-                for image, img in zip(images, sorted_images):
-                    img = img.copy()
-                    insort(img, image(j))
-                    if img < child:
-                        break
-                    child_images.append(img)
-                if len(child_images) < len(images):
+            child_points = points | bit
+            child_images = images
+            if tables:
+                child_images = _child_images(tables, images, top - j, child_points)
+                if child_images is None:
                     continue
             nodes += 1
             if nodes == budget:
                 stopped = True
             if interval and nodes % interval == 0:
                 progress(nodes, len(best_indices))
-            if size + 1 == target:
+            if not need:
                 found = (*chosen, j)
             elif stopped:
                 found = None
             else:
-                rest = excl(chosen, j, cands, target - size - 1)
+                rest = excl(chosen, j, cands, need)
                 chosen.append(j)
-                found = (None if size + 1 + rest.bit_count() < target
-                         else first_of_size(rest, target, child_images))
+                found = (None if rest.bit_count() < need
+                         else first_of_size(rest, target, child_points, child_images))
                 chosen.pop()
             if found is not None or stopped:
                 return found
@@ -392,15 +428,21 @@ def exact_max(config: SearchConfig) -> SearchResult:
     try:
         cap = _bound_cap(config.lattice, prop)
         symmetries = _symmetries(config.lattice, prop)
-        lows = [n] * len(symmetries)  # per generator, the least image of i..n-1
-        for i in range(n - 1, -1, -1):
+        # per generator g: g(n-1), g(n-2), ... down to the latest stage, and
+        # low, the least image of i..n-1
+        all_tables = [[] for _ in symmetries]
+        lows = [n] * len(symmetries)
+        for i in range(top, -1, -1):
             # stage i: is there a family of c[i+1]+1 points whose first point is i?
             # c[i] is set first so that point i passes the size + c[j] test.
             c[i] = c[i + 1] + 1
+            at_i = [image(i) for image in symmetries]
+            lows = list(map(min, lows, at_i))
+            for table, g in zip(all_tables, at_i):
+                table.append(g)
             # the generators that fix i and map {i..n-1} into itself
-            lows = [min(low, image(i)) for low, image in zip(lows, symmetries)]
-            images = [image for low, image in zip(lows, symmetries) if low == i == image(i)]
-            found = first_of_size((1 << n) - (1 << i), c[i], [[] for _ in images])
+            tables = [table for table, low, g in zip(all_tables, lows, at_i) if low == i == g]
+            found = first_of_size((1 << n) - (1 << i), c[i], 0, [0] * len(tables))
             if found is None:
                 c[i] -= 1
             elif len(found) > len(best_indices):
@@ -416,8 +458,10 @@ def exact_max(config: SearchConfig) -> SearchResult:
         stage_nodes = nodes
         if proven:
             budget = None  # the rerun is outside the budget and nodes_explored
-            images = symmetries
-            best_indices = first_of_size((1 << n) - 1, c[0], [[] for _ in images])
+            for table, image in zip(all_tables, symmetries):  # down to g(0)
+                table.extend(map(image, range(top - len(table), -1, -1)))
+            tables = all_tables
+            best_indices = first_of_size((1 << n) - 1, c[0], 0, [0] * len(tables))
             if best_indices is None:  # pragma: no cover - stage 0 proves one exists
                 raise RuntimeError("internal error: lost the optimal family")
     finally:

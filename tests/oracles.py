@@ -116,6 +116,13 @@ def naive_pair_multiplicity(s: PointSet, operation: str) -> Counter:
     return Counter(Point(op(a, b)) for a in s.points for b in s.points)
 
 
+def lex_leader_cut(image, prefix: list) -> bool:
+    """The lex-leader rule of exact search as lists: a node whose chosen
+    points are the ascending `prefix` is cut when the symmetry `image` (a map
+    of point indices) sends them to a lexicographically smaller sorted list."""
+    return sorted(map(image, prefix)) < list(prefix)
+
+
 def random_lattice(rng: random.Random, max_k: int = 4, max_l: int = 4) -> ChainProductLattice:
     k = rng.randint(1, max_k)
     return ChainProductLattice(tuple(rng.randint(1, max_l) for _ in range(k)))

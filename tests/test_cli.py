@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -154,6 +155,23 @@ def test_search_flags(capsys, tmp_path):
                            "--property", "strongly-cancellative", "--mode", "greedy")
     data = json.loads(out)
     assert data["mode"] == "greedy" and data["bestSize"] >= 1
+
+
+def test_search_progress_lines(capsys):
+    # progress goes to stderr only: stdout is the same bytes with or without
+    # it, and each line reports the nodes so far with their time and rate
+    argv = ("search", "--lattice", "b:5", "--property", "cancellative")
+    code, plain, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, "--progress", "1")
+    assert code == 0 and out == plain
+    line = re.compile(r"nodes=(\d+) best=(\d+) elapsed_s=(\d+\.\d{3}) nodes_per_s=(\d+)")
+    fields = [line.fullmatch(text) for text in err.splitlines()]
+    assert fields and all(fields)
+    nodes = [int(m[1]) for m in fields]
+    elapsed = [float(m[3]) for m in fields]
+    assert nodes == list(range(1, len(nodes) + 1))  # the stages, then the rerun
+    assert elapsed == sorted(elapsed)
 
 
 def test_search_seed(capsys, tmp_path):

@@ -36,7 +36,9 @@ CANC = "cancellative"
 # strongly cancellative before it stopped at the bounds, recovering and
 # cancellative with candidate lists (7 s and 29 s there).  b:8 strongly
 # cancellative comes from the search with symmetry pruning and matches a
-# run without it (27 s), as do the d:2,2,3,2 and d:2,2,3,3 rows.  d:4^4
+# run without it (27 s), as do the d:2,2,3,2 and d:2,2,3,3 rows.  The
+# d:3^4 rows come from the search that kept each node's sorted images as
+# lists, before they became bitsets.  d:4^4
 # strongly cancellative and the d:5^3 rows of SLOW_OPTIMA come from the
 # search that tested candidates one by one (13.6 s, 10.4 s and 8.1 s), and
 # the bit-parallel search finds the same witnesses.
@@ -85,6 +87,9 @@ OPTIMA = {
     ("d:4^3", CANC): (8, (15, 27, 30, 39, 45, 51, 60, 63)),
     ("d:4^3", SC): (5, (3, 11, 21, 38, 52)),
     ("d:4^3", REC): (5, (3, 11, 21, 38, 52)),
+    ("d:3^4", CANC): (10, (8, 14, 20, 34, 40, 46, 60, 66, 72, 80)),
+    ("d:3^4", SC): (9, (8, 14, 20, 34, 40, 46, 60, 66, 72)),
+    ("d:3^4", REC): (6, (5, 16, 35, 45, 64, 75)),
     ("d:4^4", SC): (16, (15, 27, 39, 51, 78, 90, 102, 114,
                          141, 153, 165, 177, 204, 216, 228, 240)),
     # a stage that used a generator moving points below the stage's point

@@ -23,8 +23,8 @@ from latsets import (
 )
 
 from latsets.lattice import enumerate_masks
-from latsets.search import _CACHE_BITS, _exclusions, _symmetries
-from oracles import random_lattice
+from latsets.search import _CACHE_BITS, _child_images, _exclusions, _symmetries
+from oracles import lex_leader_cut, random_lattice
 
 SC = "strongly_cancellative"
 REC = "recovering"
@@ -263,6 +263,9 @@ PRUNED_NODES = {
     ("d:4^3", SC): (10553, 11558),
     ("d:4^3", REC): (10553, 11558),
     ("d:3,4,3", CANC): (1275, 3244),  # chains 0 and 2 swap, though not adjacent
+    ("d:3^4", CANC): (21039, 27352),
+    ("d:3^4", SC): (2184, 2464),
+    ("d:3^4", REC): (8122, 9228),
 }
 
 
@@ -323,6 +326,38 @@ def test_reversal_only_for_self_dual_properties():
             reversals = [image for image in _symmetries(lattice, prop)
                          if [image(i) for i in range(n)] == reversed_order]
             assert len(reversals) == (0 if prop == CANC or n == 1 else 1), (lattice, prop)
+
+
+def test_child_images_match_list_rule():
+    # the bitset lex-leader test cuts a child exactly when the list rule
+    # does, on random ascending prefixes and index permutations; a third of
+    # the permutations map the child onto itself, an image that is equal
+    # and so never cut
+    rng = random.Random(6174)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(1, 40)
+        child = sorted(rng.sample(range(n), rng.randint(1, n)))
+        perms = []
+        for _ in range(rng.randint(1, 3)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            if rng.random() < 1 / 3:
+                inside = rng.sample(child, len(child))
+                outside = [g for g in perm if g not in child]
+                perm = [inside.pop() if i in child else outside.pop() for i in range(n)]
+            perms.append(perm)
+        # the tables of exact search hold g(n-1-r) at index r
+        tables = [perm[::-1] for perm in perms]
+        images = [sum(1 << perm[i] for i in child[:-1]) for perm in perms]
+        got = _child_images(tables, images, n - 1 - child[-1], sum(1 << i for i in child))
+        if any(lex_leader_cut(perm.__getitem__, child) for perm in perms):
+            assert got is None, (perms, child)
+        else:
+            assert got == [sum(1 << perm[i] for i in child) for perm in perms], (perms, child)
+        outcomes.add((got is None, any(sorted(perm[i] for i in child) == child
+                                        for perm in perms)))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_config_validation():
