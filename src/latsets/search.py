@@ -40,8 +40,9 @@ the number of candidates, and exact search stops filtering once fewer
 candidates remain than its target still needs: the O(|F|) triple sets
 come first, and recovering's quad sets only when the triples leave
 enough.  Exact search caches the sets under int keys; greedy, which meets
-each pair once, builds them afresh.  A triple set reads, per chain, the
-six slices of the digits of b and j from a table filled on first use.
+each pair once, builds them afresh.  In exact search a triple set reads,
+per chain, the six slices of the digits of b and j from a table filled
+on first use and emptied with the cache.
 
 After a completed search the witness is a c-pruned rerun that returns the
 canonically first family of the optimal size; nodes_explored counts the
@@ -235,20 +236,20 @@ def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
     full filter would leave fewer than need too.  Recovering's quad sets
     follow only when the triples leave at least need points.  excl keeps
     the sets under int keys in a cache that it empties once it would pass
-    about cache_bits bits, and with it the per-chain slice tables."""
+    about cache_bits bits, and with it the per-chain slice tables, which
+    hold at most one tuple per chain and cached set; with no cache
+    (cache_bits 0) it keeps no tables either."""
     n = len(vals)
     full = (1 << n) - 1
-    # per chain of l > 1 elements: its mask block, its width l - 1, the table
-    # of triples' slices by pair of digits and whether to fill it, and, by
-    # value x, the bitsets of the points whose digit is == x, >= x and <= x.
-    # A chain with more pairs of digits than the lattice has points keeps no
-    # table: most of its pairs come up once, as on a single chain.
+    # per chain of l > 1 elements: its mask block, l, the table of triples'
+    # slices by pair of digits and, by value x, the bitsets of the points
+    # whose digit is == x, >= x and <= x
     chains = []
     offset = 0
     for l, w in zip(lattice.lengths, _weights(lattice)):
         if l > 1:
             repeat = full // ((1 << w * l) - 1)  # bit 0 of every period
-            chains.append((((1 << l - 1) - 1) << offset, l - 1, {}, l * l <= n,
+            chains.append((((1 << l - 1) - 1) << offset, l, {},
                            [((1 << w) - 1 << x * w) * repeat for x in range(l)],
                            [((1 << (l - x) * w) - 1 << x * w) * repeat for x in range(l)],
                            [((1 << (x + 1) * w) - 1) * repeat for x in range(l)]))
@@ -259,35 +260,32 @@ def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
         per chain, k's digit is v's where v and z differ, else at least
         (join: at most) z's."""
         x = full
-        for block, _, _, _, eq, ge, le in chains:
+        for block, _, _, eq, ge, le in chains:
             zs = (z & block).bit_count()
             vs = (v & block).bit_count()
             x &= eq[vs] if vs != zs else le[zs] if join else ge[zs]
         return x
 
-    def slices(eq: list, ge: list, le: list, bs: int, js: int) -> tuple:
-        """On one chain where b has digit bs and j has js, the slices of the
-        six triple sets of triples(b, j), in its order."""
-        if bs < js:
-            return ge[bs], eq[bs], le[bs], eq[js], le[js], ge[js]
-        if bs > js:
-            return eq[js], ge[js], le[js], le[bs], eq[bs], ge[bs]
-        return ge[bs], ge[bs], full, le[bs], le[bs], full
-
     def triples(b: int, j: int) -> int:
         """The points k that violate the property with b and j, in one pass
         over the chains: k&b = j&b, k&j = b&j and k&b = k&j (no condition
         where b and j agree), and for all but cancellative the join duals.
-        A chain keeps the six slices of each pair of digits that has come
-        up, under the key of the pair's masks."""
+        A chain keeps the six slices of each pair of digits x, y that has
+        come up, under the key x * l + y."""
         mb = mj = ms = jb = jj = js = full
-        for block, width, table, keep, eq, ge, le in chains:
-            key = (b & block) << width | j & block
-            pair = table.get(key)
+        for block, l, table, eq, ge, le in chains:
+            x = (b & block).bit_count()
+            y = (j & block).bit_count()
+            pair = table.get(x * l + y)
             if pair is None:
-                pair = slices(eq, ge, le, (b & block).bit_count(), (j & block).bit_count())
+                if x < y:
+                    pair = ge[x], eq[x], le[x], eq[y], le[y], ge[y]
+                elif x > y:
+                    pair = eq[y], ge[y], le[y], le[x], eq[x], ge[x]
+                else:
+                    pair = ge[x], ge[x], full, le[x], le[x], full
                 if keep:
-                    table[key] = pair
+                    table[x * l + y] = pair
             smb, smj, sms, sjb, sjj, sjs = pair
             mb &= smb
             mj &= smj
@@ -301,6 +299,7 @@ def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
     cache: dict[int, int] = {}
     get = cache.get
     limit = cache_bits // (n + 1024)  # an entry costs about 128 bytes besides its set
+    keep = limit > 0
 
     def miss(key: int) -> int:
         """Build the set of key (hi << offset | lo) << 2 | kind and cache it:
