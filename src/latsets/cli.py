@@ -156,7 +156,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         property_name=normalize_property(args.property),
         mode=args.mode,
         thread_count=args.threads,
-        node_budget=DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget,
+        node_budget=args.node_budget,
         seed_set=seed,
         progress_interval=args.progress,
         progress=progress,
@@ -237,21 +237,21 @@ def cmd_table(args: argparse.Namespace) -> int:
         if args.n is None:
             raise ValueError("table --family sc-bn needs --n <lo>..<hi>")
         headers = ["n", "construction", "bound", "tight"]
-        rows = [
-            [n, 1 << (n // 2), bound_sc_bn(n), "yes"] for n in _parse_range(args.n)
-        ]
+        rows = ([n, 1 << (n // 2), bound_sc_bn(n), "yes"] for n in _parse_range(args.n))
     else:  # dlk
         if args.l is None or args.k is None:
             raise ValueError("table --family dlk needs --l and --k <lo>..<hi>")
         headers = ["k", "construction", "bound"]
-        rows = []
-        for k in _parse_range(args.k):
+
+        def dlk_row(k: int) -> list:
             # the bound first: where it overflows, l^(k/2) is too big to build
             bound = _fmt9(bound_dlk(args.l, k))
-            rows.append([k, args.l ** (k // 2), bound])
-    # every cell's text before anything is printed: an int too long for
+            return [k, args.l ** (k // 2), bound]
+
+        rows = map(dlk_row, _parse_range(args.k))
+    # row by row, before anything is printed: the first int too long for
     # str() (and so for JSON) fails here, naming its row, with stdout empty
-    lines = [",".join(headers)]
+    checked, lines = [], [",".join(headers)]
     for row in rows:
         cells = []
         for header, value in zip(headers, row):
@@ -260,9 +260,10 @@ def cmd_table(args: argparse.Namespace) -> int:
             except ValueError:
                 raise ValueError(f"{headers[0]} = {row[0]}: the {header} has too many "
                                  "digits to print") from None
+        checked.append(row)
         lines.append(",".join(cells))
     if args.format == "json":
-        _print_json([dict(zip(headers, row)) for row in rows])
+        _print_json([dict(zip(headers, row)) for row in checked])
     else:
         print("\n".join(lines))
     return 0
@@ -299,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
     p.add_argument("--threads", type=_integer, default=1,
                    help="validated (>= 1) but inert: search runs on one thread")
-    p.add_argument("--node-budget", type=_integer, default=None)
+    p.add_argument("--node-budget", type=_integer, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--seed", help="set file used as the initial incumbent")
     p.add_argument("--progress", type=_signed_integer, default=0, metavar="NODES",
                    help="report to stderr every NODES nodes (0 = off)")

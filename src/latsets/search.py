@@ -44,9 +44,9 @@ each pair once, builds them afresh.  In exact search a triple set reads,
 per chain, the six slices of the digits of b and j from a table filled
 on first use and emptied with the cache.
 
-After a completed search the witness is a c-pruned rerun that returns the
-canonically first family of the optimal size; nodes_explored counts the
-stages, not that rerun.  Search runs on one thread.
+After the stages, a c-pruned rerun returns the canonically first family
+of the optimal size as the witness; it counts its nodes on from the
+stages, under the same budget.  Search runs on one thread.
 
 Both the stages and the rerun break symmetry by lex-leader pruning
 (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for
@@ -108,13 +108,12 @@ _CACHE_BITS = 1 << 28  # exclusion cache of exact search: about 32 MB at most
 class SearchConfig:
     """Parameters for one search run.
 
-    node_budget bounds the families visited by the Russian-doll stages
-    (None = unlimited); when it runs out, proven_optimal is False.  The
-    canonical-witness rerun of a proven run is outside the budget.  A seed
-    set must itself satisfy the property and serves as the initial
-    incumbent.  thread_count is validated but inert: search runs on one
-    thread.  progress, when set, is called with (nodes, best_size) every
-    progress_interval nodes, the rerun counting on from the stages.
+    node_budget bounds the families that exact search visits, the
+    canonical-witness rerun included (None = unlimited); when it runs out,
+    proven_optimal is False.  A seed set must itself satisfy the property
+    and serves as the initial incumbent.  thread_count is validated but
+    inert: search runs on one thread.  progress, when set, is called with
+    (nodes, best_size) every progress_interval nodes.
     """
 
     lattice: ChainProductLattice
@@ -362,11 +361,12 @@ def _result(config: SearchConfig, prop: str, vals, indices, proven: bool,
 def exact_max(config: SearchConfig) -> SearchResult:
     """Maximum family satisfying the property, by Russian-doll search.
 
-    proven_optimal is True exactly when the stages finished, or met the
-    smallest applicable bound, before the node budget ran out; the returned
-    witness is then the canonically first family of maximum size.
-    Otherwise it is the larger of the seed (which wins ties) and the family
-    found by the last successful stage.  The witness is re-verified before
+    proven_optimal is True exactly when the stages (finished, or stopped
+    at the smallest applicable bound) and the witness rerun all ran within
+    the node budget; the returned witness is then the canonically first
+    family of maximum size, and nodes_explored counts both.  Otherwise it
+    is the larger of the seed (which wins ties) and the family found by
+    the last successful stage.  The witness is re-verified before
     returning.
     """
     prop, vals, best_indices = _setup(config)
@@ -453,19 +453,18 @@ def exact_max(config: SearchConfig) -> SearchResult:
                 c[:i] = [c[i]] * i
                 break
 
-        proven = not stopped
-        stage_nodes = nodes
-        if proven:
-            budget = None  # the rerun is outside the budget and nodes_explored
+        if not stopped:  # the rerun, under the same budget and node count
             for table, image in zip(all_tables, symmetries):  # down to g(0)
                 table.extend(map(image, range(top - len(table), -1, -1)))
             tables = all_tables
-            best_indices = first_of_size((1 << n) - 1, c[0], 0, [0] * len(tables))
-            if best_indices is None:  # pragma: no cover - stage 0 proves one exists
-                raise RuntimeError("internal error: lost the optimal family")
+            found = first_of_size((1 << n) - 1, c[0], 0, [0] * len(tables))
+            if not stopped:
+                if found is None:  # pragma: no cover - stage 0 proves one exists
+                    raise RuntimeError("internal error: lost the optimal family")
+                best_indices = found
     finally:
         first_of_size = None  # it reaches itself through its closure: break that cycle
-    return _result(config, prop, vals, best_indices, proven, stage_nodes)
+    return _result(config, prop, vals, best_indices, not stopped, nodes)
 
 
 def greedy(config: SearchConfig) -> SearchResult:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import latsets.cli
 from latsets.cli import main
 
 
@@ -401,6 +402,26 @@ def test_deeply_nested_set_file_exits_1(tmp_path):
         assert (proc.returncode, proc.stdout) == (1, ""), argv
         assert proc.stderr == "error: set file is nested too deeply to read\n", argv
         assert "Traceback" not in proc.stderr
+
+
+def test_table_stops_at_first_unprintable_row(capsys, monkeypatch):
+    # under a 640-digit limit 2^2127 (n = 4254) is the first construction
+    # too long to print; no row after it is built
+    built = []
+    bound_sc_bn = latsets.cli.bound_sc_bn
+    monkeypatch.setattr(latsets.cli, "bound_sc_bn", lambda n: built.append(n) or bound_sc_bn(n))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for fmt in ("csv", "json"):
+            built.clear()
+            code, out, err = run_cli(capsys, "table", "--family", "sc-bn", "--n", "2..12000",
+                                     "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err == "error: n = 4254: the construction has too many digits to print\n"
+            assert built[-1] == 4254
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_huge_bound_parameters_exit_1(capsys):

@@ -241,31 +241,41 @@ def test_progress_callback():
     assert seen and all(n >= 10 for n, _ in seen)
 
 
-def test_progress_covers_witness_rerun():
-    # the rerun keeps reporting, counting on from the stages' nodes, while
-    # nodes_explored still counts the stages only
+def test_progress_ends_at_nodes_explored():
+    # the witness rerun counts on from the stages, and nodes_explored
+    # counts both: the last node reported is the last node visited
     seen = []
-    result = exact("d:4^3", CANC, progress_interval=1000,
+    result = exact("d:4^3", CANC, progress_interval=1, progress=lambda n, b: seen.append(n))
+    assert result.proven_optimal
+    assert seen == list(range(1, result.nodes_explored + 1))
+
+
+def test_node_budget_bounds_witness_rerun():
+    # the stages of d:4^3 cancellative prove 8 within 13 188 nodes, and the
+    # rerun would take the search to 35 190: the budget stops the rerun,
+    # and the run returns the last stage's family, unproven
+    seen = []
+    result = exact("d:4^3", CANC, node_budget=20000, progress_interval=1,
                    progress=lambda n, b: seen.append(n))
-    assert result.nodes_explored == exact("d:4^3", CANC).nodes_explored
-    assert seen == sorted(set(seen)) and all(n % 1000 == 0 for n in seen)
-    assert max(seen) > result.nodes_explored
+    assert (result.best_size, result.proven_optimal, result.nodes_explored) == (8, False, 20000)
+    assert satisfies(result.best_set, CANC)
+    assert max(seen) == 20000
 
 
-# (lattice, property): (stage nodes, stage + rerun nodes) under lex-leader
-# pruning.  Result tests cannot tell a sound but weaker cut from this one;
-# these counts can.
+# (lattice, property): nodes_explored, the stages' and the witness rerun's
+# nodes, under lex-leader pruning.  Result tests cannot tell a sound but
+# weaker cut from this one; these counts can.
 PRUNED_NODES = {
-    ("b:6", CANC): (2560, 2795),
-    ("b:6", SC): (502, 540),
-    ("b:6", REC): (1592, 1633),
-    ("d:4^3", CANC): (13188, 35190),
-    ("d:4^3", SC): (10553, 11558),
-    ("d:4^3", REC): (10553, 11558),
-    ("d:3,4,3", CANC): (1275, 3244),  # chains 0 and 2 swap, though not adjacent
-    ("d:3^4", CANC): (21039, 27352),
-    ("d:3^4", SC): (2184, 2464),
-    ("d:3^4", REC): (8122, 9228),
+    ("b:6", CANC): 2795,
+    ("b:6", SC): 540,
+    ("b:6", REC): 1633,
+    ("d:4^3", CANC): 35190,
+    ("d:4^3", SC): 11558,
+    ("d:4^3", REC): 11558,
+    ("d:3,4,3", CANC): 3244,  # chains 0 and 2 swap, though not adjacent
+    ("d:3^4", CANC): 27352,
+    ("d:3^4", SC): 2464,
+    ("d:3^4", REC): 9228,
 }
 
 
@@ -274,7 +284,7 @@ def test_symmetry_pruning_strength(spec, prop):
     seen = []
     result = exact(spec, prop, progress_interval=1, progress=lambda n, b: seen.append(n))
     assert result.proven_optimal
-    assert (result.nodes_explored, seen[-1]) == PRUNED_NODES[spec, prop]
+    assert result.nodes_explored == seen[-1] == PRUNED_NODES[spec, prop]
 
 
 def _symmetry_lattices() -> list:
