@@ -36,7 +36,6 @@ from .verify import (
     anchored_entropy,
     find_violation,
     is_recovering,
-    normalize_property,
     pair_statistics,
 )
 
@@ -132,7 +131,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ps = load_set_file(args.path)
-    violation = find_violation(ps, normalize_property(args.property))
+    violation = find_violation(ps, args.property)
     if violation is None:
         print(f"OK size={ps.size}")
         return 0
@@ -153,7 +152,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     config = SearchConfig(
         lattice=lattice,
-        property_name=normalize_property(args.property),
+        property_name=args.property,
         mode=args.mode,
         thread_count=args.threads,
         node_budget=args.node_budget,
@@ -208,6 +207,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_entropy(args: argparse.Namespace) -> int:
     ps = load_set_file(args.path)
     operations = [MEET, JOIN] if args.op == "both" else [args.op]
+    if args.anchor is not None:  # first: a bad anchor fails before the pair statistics
+        try:
+            anchor = Point(tuple(map(_decimal, args.anchor.split(","))))
+        except ValueError:
+            raise ValueError(f"bad anchor {args.anchor!r}; expected coords like 1,0,1,0")
+        anchored = {"anchor": list(anchor.coords)}
+        for op in operations:
+            anchored[op] = anchored_entropy(ps, anchor, op)
     payload: dict = {
         "lattice": format_lattice_spec(ps.lattice),
         "size": ps.size,
@@ -219,13 +226,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
             "pairEntropy": entropy(stats.pair_distribution),
         }
     if args.anchor is not None:
-        try:
-            anchor = Point(tuple(map(_decimal, args.anchor.split(","))))
-        except ValueError:
-            raise ValueError(f"bad anchor {args.anchor!r}; expected coords like 1,0,1,0")
-        payload["anchoredEntropy"] = {"anchor": list(anchor.coords)}
-        for op in operations:
-            payload["anchoredEntropy"][op] = anchored_entropy(ps, anchor, op)
+        payload["anchoredEntropy"] = anchored
     if ps.size >= 2 and is_recovering(ps):
         payload["sandwich"] = empirical_recovering_entropy(ps).to_json_dict()
     _print_json(payload)
@@ -249,23 +250,23 @@ def cmd_table(args: argparse.Namespace) -> int:
             return [k, args.l ** (k // 2), bound]
 
         rows = map(dlk_row, _parse_range(args.k))
-    # row by row, before anything is printed: the first int too long for
-    # str() (and so for JSON) fails here, naming its row, with stdout empty
-    checked, lines = [], [",".join(headers)]
+    # row by row, before anything is printed: the first int of more digits than
+    # str() and JSON convert (>= 10^digits) fails, naming its row; stdout stays empty
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    too_long = 10 ** digits if digits else float("inf")
+    checked = []
     for row in rows:
-        cells = []
         for header, value in zip(headers, row):
-            try:
-                cells.append(f"{value:.9g}" if isinstance(value, float) else str(value))
-            except ValueError:
+            if isinstance(value, int) and value >= too_long:
                 raise ValueError(f"{headers[0]} = {row[0]}: the {header} has too many "
-                                 "digits to print") from None
+                                 "digits to print")
         checked.append(row)
-        lines.append(",".join(cells))
     if args.format == "json":
         _print_json([dict(zip(headers, row)) for row in checked])
     else:
-        print("\n".join(lines))
+        print(",".join(headers))
+        for row in checked:
+            print(",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
     return 0
 
 

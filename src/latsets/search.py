@@ -23,9 +23,9 @@ The bounds of the bounds module cap every family: no stage can push c
 above the floor of the smallest applicable bound.  Once some c[i] reaches
 it, c[k] = c[i] for every k < i, and the earlier stages are skipped.
 
-Points are thermometer masks (lattice.mask_codec), so meet and join are
-& and | on every lattice.  Search holds one int per point
-(lattice.enumerate_masks) and decodes only its witness.  Candidate sets
+Search works on point indices.  Only the exclusion filter holds the
+points' thermometer masks (lattice.enumerate_masks), in which meet and
+join are & and | on every lattice.  Candidate sets
 are filtered bit-parallel, as San Segundo, Rodriguez-Losada and Jimenez
 filter by edges ("An exact bit-parallel algorithm for the maximum clique
 problem", Computers & OR 38, 2011).  When j joins a valid family F, a
@@ -85,9 +85,9 @@ from .bounds import applicable_bounds
 from .lattice import (
     ChainProductLattice,
     PointSet,
+    _chain_tables,
     enumerate_lattice,
     enumerate_masks,
-    mask_codec,
 )
 from .verify import (
     CANCELLATIVE,
@@ -106,7 +106,7 @@ _CACHE_BITS = 1 << 28  # exclusion cache of exact search: about 32 MB at most
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Parameters for one search run.
+    """Parameters for one search run; property_name is kept canonical.
 
     node_budget bounds the families that exact search visits, the
     canonical-witness rerun included (None = unlimited); when it runs out,
@@ -126,7 +126,7 @@ class SearchConfig:
     progress: Optional[Callable[[int, int], None]] = None
 
     def __post_init__(self) -> None:
-        normalize_property(self.property_name)
+        object.__setattr__(self, "property_name", normalize_property(self.property_name))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.thread_count < 1:
@@ -153,20 +153,17 @@ class SearchResult:
         }
 
 
-def _setup(config: SearchConfig):
-    """The normalized property, the masks of the points in canonical order
-    and the sorted indices of the verified seed (empty without one)."""
-    prop = normalize_property(config.property_name)
-    vals = enumerate_masks(config.lattice)
+def _seed(config: SearchConfig) -> tuple:
+    """The sorted canonical indices of the verified seed (empty without one)."""
     seed = config.seed_set
     if seed is None:
-        return prop, vals, ()
+        return ()
     if seed.lattice != config.lattice:
         raise ValueError("seed set lives on a different lattice")
-    if not satisfies(seed, prop):
+    if not satisfies(seed, config.property_name):
         raise ValueError("seed set does not satisfy the property")
     weights = _weights(config.lattice)
-    return prop, vals, tuple(sorted(sum(map(mul, p.coords, weights)) for p in seed.points))
+    return tuple(sorted(sum(map(mul, p.coords, weights)) for p in seed.points))
 
 
 def _bound_cap(lattice: ChainProductLattice, prop: str) -> float:
@@ -224,7 +221,7 @@ def _child_images(tables: list, images: list, r: int, points: int) -> Optional[l
     return child
 
 
-def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
+def _exclusions(lattice: ChainProductLattice, prop: str,
                 cache_bits: int) -> Callable[[list, int, int, int], int]:
     """excl(F, j, cands, need): cands less the points k for which F + {j, k}
     violates the property, given valid F + {j} and F + {k} (F, j and cands
@@ -236,23 +233,23 @@ def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
     follow only when the triples leave at least need points.  excl keeps
     the sets under int keys in a cache that it empties once it would pass
     about cache_bits bits, and with it the per-chain slice tables, which
-    hold at most one tuple per chain and cached set; with no cache
-    (cache_bits 0) it keeps no tables either."""
+    hold at most one tuple per chain and cached set.  excl alone holds the
+    points' masks (lattice.enumerate_masks)."""
+    vals = enumerate_masks(lattice)
     n = len(vals)
     full = (1 << n) - 1
+    offset = sum(lattice.lengths) - lattice.k  # the mask width
     # per chain of l > 1 elements: its mask block, l, the table of triples'
     # slices by pair of digits and, by value x, the bitsets of the points
     # whose digit is == x, >= x and <= x
     chains = []
-    offset = 0
-    for l, w in zip(lattice.lengths, _weights(lattice)):
+    for l, w, masks in zip(lattice.lengths, _weights(lattice), _chain_tables(lattice)):
         if l > 1:
             repeat = full // ((1 << w * l) - 1)  # bit 0 of every period
-            chains.append((((1 << l - 1) - 1) << offset, l, {},
+            chains.append((masks[-1], l, {},
                            [((1 << w) - 1 << x * w) * repeat for x in range(l)],
                            [((1 << (l - x) * w) - 1 << x * w) * repeat for x in range(l)],
                            [((1 << (x + 1) * w) - 1) * repeat for x in range(l)]))
-            offset += l - 1
 
     def product(z: int, v: int, join: bool) -> int:
         """{k : k&z = v} (join: k|z = v), for masks v <= z (join: v >= z):
@@ -283,8 +280,7 @@ def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
                     pair = eq[y], ge[y], le[y], le[x], eq[x], ge[x]
                 else:
                     pair = ge[x], ge[x], full, le[x], le[x], full
-                if keep:
-                    table[x * l + y] = pair
+                table[x * l + y] = pair
             smb, smj, sms, sjb, sjj, sjs = pair
             mb &= smb
             mj &= smj
@@ -298,7 +294,6 @@ def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
     cache: dict[int, int] = {}
     get = cache.get
     limit = cache_bits // (n + 1024)  # an entry costs about 128 bytes besides its set
-    keep = limit > 0
 
     def miss(key: int) -> int:
         """Build the set of key (hi << offset | lo) << 2 | kind and cache it:
@@ -349,11 +344,12 @@ def _exclusions(lattice: ChainProductLattice, prop: str, vals: list[int],
     return excl
 
 
-def _result(config: SearchConfig, prop: str, vals, indices, proven: bool,
-            nodes: int) -> SearchResult:
-    _, decode = mask_codec(config.lattice)
-    best_set = PointSet(config.lattice, tuple(decode(vals[i]) for i in indices))
-    if not satisfies(best_set, prop):  # pragma: no cover - mandatory re-verification
+def _result(config: SearchConfig, indices, proven: bool, nodes: int) -> SearchResult:
+    """The re-verified family of the indices, each decoded by its digits i // w % l."""
+    lattice = config.lattice
+    radix = list(zip(_weights(lattice), lattice.lengths))
+    best_set = PointSet(lattice, tuple(tuple(i // w % l for w, l in radix) for i in indices))
+    if not satisfies(best_set, config.property_name):  # pragma: no cover - re-verification
         raise RuntimeError("internal error: search produced an invalid family")
     return SearchResult(best_set, len(indices), proven, nodes)
 
@@ -369,10 +365,11 @@ def exact_max(config: SearchConfig) -> SearchResult:
     the last successful stage.  The witness is re-verified before
     returning.
     """
-    prop, vals, best_indices = _setup(config)
-    n = len(vals)
+    best_indices = _seed(config)
+    prop = config.property_name
+    excl = _exclusions(config.lattice, prop, _CACHE_BITS)  # first: it checks the size cap
+    n = config.lattice.size
     c = [0] * (n + 1)  # c[j] = largest family among points j..n-1
-    excl = _exclusions(config.lattice, prop, vals, _CACHE_BITS)
     chosen: list[int] = []
     nodes = 0
     budget = config.node_budget
@@ -464,17 +461,18 @@ def exact_max(config: SearchConfig) -> SearchResult:
                 best_indices = found
     finally:
         first_of_size = None  # it reaches itself through its closure: break that cycle
-    return _result(config, prop, vals, best_indices, not stopped, nodes)
+    return _result(config, best_indices, not stopped, nodes)
 
 
 def greedy(config: SearchConfig) -> SearchResult:
     """Scan points in canonical order, keeping each one that preserves the
     property.  proven_optimal is True only when the result size meets an
     applicable upper bound, which certifies it as a true maximum."""
-    prop, vals, seed = _setup(config)
-    excl = _exclusions(config.lattice, prop, vals, 0)  # each pair comes up once
+    seed = _seed(config)
+    excl = _exclusions(config.lattice, config.property_name, 0)  # each pair comes up once
+    n = config.lattice.size
     chosen: list[int] = []
-    cands = (1 << len(vals)) - 1  # the points that fit the chosen ones
+    cands = (1 << n) - 1  # the points that fit the chosen ones
     for j in seed:
         if not cands >> j & 1:  # pragma: no cover - seed was verified
             raise RuntimeError("internal error: verified seed failed to load")
@@ -484,8 +482,8 @@ def greedy(config: SearchConfig) -> SearchResult:
         j = (cands & -cands).bit_length() - 1
         cands = excl(chosen, j, cands & ~(1 << j), 0)
         chosen.append(j)
-    proven = len(chosen) >= _bound_cap(config.lattice, prop)
-    return _result(config, prop, vals, sorted(chosen), proven, len(vals) - len(seed))
+    proven = len(chosen) >= _bound_cap(config.lattice, config.property_name)
+    return _result(config, sorted(chosen), proven, n - len(seed))
 
 
 def run_search(config: SearchConfig) -> SearchResult:

@@ -242,6 +242,25 @@ def test_malformed_anchor_exits_1(capsys, tmp_path):
         assert "bad anchor" in err, anchor
 
 
+def test_bad_anchor_fails_before_pair_statistics(capsys, monkeypatch, tmp_path):
+    # the anchor is parsed and placed before any pair statistics are taken
+    calls = []
+    pair_statistics = latsets.cli.pair_statistics
+    monkeypatch.setattr(latsets.cli, "pair_statistics",
+                        lambda *args: calls.append(args) or pair_statistics(*args))
+    path = tmp_path / "b4.json"
+    run_cli(capsys, "construct", "--family", "block-bn", "--n", "4", "-o", str(path))
+    for anchor, message in (
+            ("+1,0", "error: bad anchor '+1,0'; expected coords like 1,0,1,0\n"),
+            ("1,1,1,1", "error: anchor Point(1, 1, 1, 1) is not in the set\n")):
+        code, out, err = run_cli(capsys, "entropy", str(path), "--anchor", anchor)
+        assert (code, out, err) == (1, "", message), anchor
+    assert calls == []
+    code, out, _ = run_cli(capsys, "entropy", str(path), "--anchor", "1,0,1,0")
+    assert code == 0 and len(calls) == 2
+    assert list(json.loads(out)) == ["lattice", "size", "meet", "join", "anchoredEntropy"]
+
+
 def test_bounds_table(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--lattice", "b:7",
                            "--property", "strongly-cancellative")
@@ -441,6 +460,8 @@ def test_huge_bound_parameters_exit_1(capsys):
         (["table", "--family", "sc-bn", "--n", "30000"], "n = 30000"),
         (["table", "--family", "sc-bn", "--n", "30000", "--format", "json"], "n = 30000"),
         (["table", "--family", "sc-bn", "--n", "28560..28580"], "n = 28570"),
+        # the rows before the first unprintable one are not converted
+        (["table", "--family", "sc-bn", "--n", "2..30000"], "n = 28570"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)

@@ -201,6 +201,22 @@ def test_seeded_exact():
         exact("b:5", SC, seed_set=seed)
 
 
+def test_seed_checked_before_masks(monkeypatch):
+    # a bad seed fails before any point is enumerated, so a seed from b:4
+    # on b:22 (4 M points) is rejected at once
+    enumerated = []
+    monkeypatch.setattr(latsets.search, "enumerate_masks",
+                        lambda lattice: enumerated.append(lattice) or [])
+    seed = block_construction_bn(4)
+    for mode in ("exact", "greedy"):
+        for spec, prop, message in (("b:22", SC, "seed set lives on a different lattice"),
+                                    ("b:4", REC, "seed set does not satisfy the property")):
+            config = SearchConfig(parse_lattice_spec(spec), prop, mode=mode, seed_set=seed)
+            with pytest.raises(ValueError, match=message):
+                run_search(config)
+    assert enumerated == []
+
+
 def test_greedy_basic():
     result = greedy(SearchConfig(parse_lattice_spec("b:4"), SC, mode="greedy"))
     assert result.best_size <= 4
@@ -413,11 +429,10 @@ def test_exclusions_match_verifier():
                         ("b:5", (REC,))):
         lattice = parse_lattice_spec(spec)
         points = enumerate_lattice(lattice)
-        vals = enumerate_masks(lattice)
         n = len(points)
         for prop in props:
             fits = _family_fits(lattice, points, prop)
-            variants = [_exclusions(lattice, prop, vals, bits)
+            variants = [_exclusions(lattice, prop, bits)
                         for bits in (_CACHE_BITS, 3 * (n + 1024), 0)]
             families = ([list(pair) for pair in itertools.combinations(range(n), 2)]
                         if spec == "b:5" else
@@ -444,11 +459,10 @@ def test_exclusions_stop_early_only_below_need():
     for spec in ("b:4", "d:3,3,2", "b:5"):
         lattice = parse_lattice_spec(spec)
         points = enumerate_lattice(lattice)
-        vals = enumerate_masks(lattice)
         n = len(points)
         for prop in (CANC, SC, REC):
             fits = _family_fits(lattice, points, prop)
-            excl = _exclusions(lattice, prop, vals, _CACHE_BITS)
+            excl = _exclusions(lattice, prop, _CACHE_BITS)
             for _ in range(40):
                 family = _random_family(rng, n, fits, rng.randint(0, 5))
                 fitting = [k for k in range(n) if k not in family and fits(family + [k])]
