@@ -23,6 +23,19 @@ The bounds of the bounds module cap every family: no stage can push c
 above the floor of the smallest applicable bound.  Once some c[i] reaches
 it, c[k] = c[i] for every k < i, and the earlier stages are skipped.
 
+The member filter drops every point too small to belong to a family of
+the target size.  Take a member a of a valid family F: the |F|-1 meets
+a&b with the other members b are distinct, by cancellativity, and lie
+below a, so a has prod(a_s + 1) >= |F|-1 points below or at it; for
+strongly cancellative and recovering the joins likewise give
+prod(l_s - a_s) >= |F|-1 points above or at it.  M_t, the bitset of the
+points that pass for t = |F|, is built by a recursion over the chains,
+memoized per chain and per pair of products still needed.  Each stage
+ANDs its root candidates with M_t for its target t, and a stage whose own
+point lies outside M_t fails without a node; the rerun uses M_c[0].  M_t
+holds every member of every family of t points, so each stage and the
+rerun find the family they found without the filter.
+
 Search works on point indices.  Only the exclusion filter holds the
 points' thermometer masks (lattice.enumerate_masks), in which meet and
 join are & and | on every lattice.  Candidate sets
@@ -70,7 +83,10 @@ found without symmetry and c[] keeps its meaning.  As i falls, each
 generator g keeps low, the least of g(i..n-1); g serves stage i when
 low == i == g(i).  The g(i) of each stage go into a list per generator,
 from which nodes read g(j), and the rerun completes the lists down to
-g(0): no table per point is built ahead.
+g(0): no table per point is built ahead.  The member filter leaves this
+argument intact: M_t keeps every point of the first family, and it maps
+onto itself under each chain swap and, since it bounds the points both
+below and above, under reversal.
 """
 
 from __future__ import annotations
@@ -180,6 +196,35 @@ def _weights(lattice: ChainProductLattice) -> list[int]:
     """Mixed-radix weight of each chain: the point with coordinates c has
     canonical index sum(c * w)."""
     return [math.prod(lattice.lengths[s + 1:]) for s in range(lattice.k)]
+
+
+def _members(lattice: ChainProductLattice, prop: str, target: int, memo: dict) -> int:
+    """M_t, the bitset of the points a that pass the member filter for
+    families of t = target points: prod(a_s + 1) >= t - 1 and, for all but
+    cancellative, prod(l_s - a_s) >= t - 1.  memo keeps the bitsets of
+    _suffix_members across targets."""
+    need = max(target - 1, 1)
+    chains = tuple((l, w) for l, w in zip(lattice.lengths, _weights(lattice)) if l > 1)
+    return _suffix_members(chains, 0, need, 1 if prop == CANCELLATIVE else need, memo)
+
+
+def _suffix_members(chains: tuple, s: int, down: int, up: int, memo: dict) -> int:
+    """The bitset, by index over the chains (l, w) from s on, of the digit
+    tuples a whose products prod(a_r + 1) reach down and prod(l_r - a_r)
+    reach up.  A chain of length 1 has only digit 0, which adds nothing to
+    an index or a product."""
+    if s == len(chains):
+        return int(down == up == 1)
+    key = (s, down, up)
+    found = memo.get(key)
+    if found is None:
+        l, w = chains[s]
+        found = 0
+        for x in range(l):
+            found |= _suffix_members(chains, s + 1, -(-down // (x + 1)),
+                                     -(-up // (l - x)), memo) << x * w
+        memo[key] = found
+    return found
 
 
 def _transposition(u: int, w: int, l: int) -> Callable:
@@ -428,6 +473,8 @@ def exact_max(config: SearchConfig) -> SearchResult:
         # low, the least image of i..n-1
         all_tables = [[] for _ in symmetries]
         lows = [n] * len(symmetries)
+        memo: dict = {}
+        target = 0  # the target of `members`, M_target
         for i in range(top, -1, -1):
             # stage i: is there a family of c[i+1]+1 points whose first point is i?
             # c[i] is set first so that point i passes the size + c[j] test.
@@ -436,9 +483,15 @@ def exact_max(config: SearchConfig) -> SearchResult:
             lows = list(map(min, lows, at_i))
             for table, g in zip(all_tables, at_i):
                 table.append(g)
+            if c[i] != target:
+                target = c[i]
+                members = _members(config.lattice, prop, target, memo)
+            if not members >> i & 1:  # i lies in no family of c[i] points
+                c[i] -= 1
+                continue
             # the generators that fix i and map {i..n-1} into itself
             tables = [table for table, low, g in zip(all_tables, lows, at_i) if low == i == g]
-            found = first_of_size((1 << n) - (1 << i), c[i], 0, [0] * len(tables))
+            found = first_of_size(((1 << n) - (1 << i)) & members, c[i], 0, [0] * len(tables))
             if found is None:
                 c[i] -= 1
             elif len(found) > len(best_indices):
@@ -454,7 +507,8 @@ def exact_max(config: SearchConfig) -> SearchResult:
             for table, image in zip(all_tables, symmetries):  # down to g(0)
                 table.extend(map(image, range(top - len(table), -1, -1)))
             tables = all_tables
-            found = first_of_size((1 << n) - 1, c[0], 0, [0] * len(tables))
+            members = _members(config.lattice, prop, c[0], memo)
+            found = first_of_size(members, c[0], 0, [0] * len(tables))
             if not stopped:
                 if found is None:  # pragma: no cover - stage 0 proves one exists
                     raise RuntimeError("internal error: lost the optimal family")

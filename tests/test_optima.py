@@ -41,7 +41,9 @@ CANC = "cancellative"
 # lists, before they became bitsets.  d:4^4
 # strongly cancellative and the d:5^3 rows of SLOW_OPTIMA come from the
 # search that tested candidates one by one (13.6 s, 10.4 s and 8.1 s), and
-# the bit-parallel search finds the same witnesses.
+# the bit-parallel search finds the same witnesses.  b:8 cancellative comes
+# from the bit-parallel search with full exclusion filters (38 s on one
+# core); with the member filter it takes about 0.5 s.
 OPTIMA = {
     ("b:2", CANC): (3, (1, 2, 3)),
     ("b:2", SC): (2, (0, 1)),
@@ -63,6 +65,8 @@ OPTIMA = {
     ("b:7", CANC): (13, (15, 23, 27, 45, 53, 57, 78, 86, 90, 108, 116, 120, 127)),
     ("b:8", SC): (16, (15, 23, 43, 51, 77, 85, 105, 113,
                        142, 150, 170, 178, 204, 212, 232, 240)),
+    ("b:8", CANC): (19, (31, 47, 55, 91, 93, 107, 109, 115, 117, 158, 174, 182,
+                        218, 220, 234, 236, 242, 244, 255)),
     ("d:3,3", CANC): (4, (2, 4, 6, 8)),
     ("d:3,3", SC): (3, (1, 5, 6)),
     ("d:3,3", REC): (3, (1, 5, 6)),
@@ -99,20 +103,20 @@ OPTIMA = {
 }
 
 
-# Rows of several seconds each, run only when LATSETS_SLOW_TESTS is set.
-# The b:8 recovering and cancellative and d:5^3 cancellative rows come from
-# the bit-parallel search with full exclusion filters (12.6 s, 38 s and
-# 16 s on one core); the filters that stop early find the same witnesses
-# with the same node counts.  The b:9 and d:3^5 strongly cancellative rows
-# come from the search with early-stopping filters (75 264 and 1 914 872
-# nodes, 1.0 s and 4.6 s).
+# Rows run only when LATSETS_SLOW_TESTS is set.  The b:8 recovering and
+# d:5^3 cancellative rows come from the bit-parallel search with full
+# exclusion filters (12.6 s and 16 s on one core); the filters that stop
+# early find the same witnesses with the same node counts, and the member
+# filter with fewer (still 6-9 s).  The b:9 and d:3^5 strongly
+# cancellative rows come from the search with early-stopping filters
+# (75 264 and 1 914 872 nodes, 1.0 s and 4.6 s); with the member filter
+# they and the d:5^3 strongly cancellative and recovering rows take under
+# a second each.
 SLOW_OPTIMA = {
     ("d:5^3", SC): (7, (13, 39, 57, 65, 71, 87, 102)),
     ("d:5^3", REC): (7, (13, 39, 57, 65, 71, 87, 102)),
     ("d:5^3", CANC): (10, (24, 44, 48, 64, 72, 84, 96, 104, 120, 124)),
     ("b:8", REC): (8, (7, 27, 104, 117, 169, 180, 206, 210)),
-    ("b:8", CANC): (19, (31, 47, 55, 91, 93, 107, 109, 115, 117, 158, 174, 182,
-                        218, 220, 234, 236, 242, 244, 255)),
     ("b:9", SC): (16, (15, 23, 43, 51, 77, 85, 105, 113,
                        142, 150, 170, 178, 204, 212, 232, 240)),
     ("d:3^5", SC): (12, (17, 41, 47, 59, 97, 121, 127, 139, 177, 201, 207, 219)),

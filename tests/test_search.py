@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -23,8 +24,8 @@ from latsets import (
 )
 
 from latsets.lattice import enumerate_masks
-from latsets.search import _CACHE_BITS, _child_images, _exclusions, _symmetries
-from oracles import lex_leader_cut, random_lattice
+from latsets.search import _CACHE_BITS, _child_images, _exclusions, _members, _symmetries
+from oracles import NAIVE_CHECKS, lex_leader_cut, random_lattice
 
 SC = "strongly_cancellative"
 REC = "recovering"
@@ -122,7 +123,9 @@ def test_exhaustive_oracle_guard():
 
 def test_bound_certified_stop_keeps_results(monkeypatch):
     # b:n and d:l1,l2 meet their strongly cancellative bound before stage 0,
-    # so the stop skips stages; with no bounds every stage runs
+    # so the stop skips stages; with no bounds every stage runs.  On d:3,3
+    # and d:5,5 the skipped stages cost no node, since none of them gets
+    # past its point: the stop saves nodes on the other four
     specs = ("b:4", "b:5", "b:6", "d:3,3", "d:4,5", "d:5,5")
     stopped = {spec: exact(spec, SC) for spec in specs}
     monkeypatch.setattr(latsets.search, "applicable_bounds", lambda *args: [])
@@ -131,7 +134,10 @@ def test_bound_certified_stop_keeps_results(monkeypatch):
         assert full.proven_optimal and stopped[spec].proven_optimal
         assert stopped[spec].best_size == full.best_size
         assert stopped[spec].best_set == full.best_set
-        assert stopped[spec].nodes_explored < full.nodes_explored, spec
+        if spec in ("d:3,3", "d:5,5"):
+            assert stopped[spec].nodes_explored == full.nodes_explored, spec
+        else:
+            assert stopped[spec].nodes_explored < full.nodes_explored, spec
 
 
 def test_bound_beyond_float_range_does_not_stop_search():
@@ -267,31 +273,31 @@ def test_progress_ends_at_nodes_explored():
 
 
 def test_node_budget_bounds_witness_rerun():
-    # the stages of d:4^3 cancellative prove 8 within 13 188 nodes, and the
-    # rerun would take the search to 35 190: the budget stops the rerun,
+    # the stages of d:4^3 cancellative prove 8 within 6 762 nodes, and the
+    # rerun would take the search to 18 404: the budget stops the rerun,
     # and the run returns the last stage's family, unproven
     seen = []
-    result = exact("d:4^3", CANC, node_budget=20000, progress_interval=1,
+    result = exact("d:4^3", CANC, node_budget=10000, progress_interval=1,
                    progress=lambda n, b: seen.append(n))
-    assert (result.best_size, result.proven_optimal, result.nodes_explored) == (8, False, 20000)
+    assert (result.best_size, result.proven_optimal, result.nodes_explored) == (8, False, 10000)
     assert satisfies(result.best_set, CANC)
-    assert max(seen) == 20000
+    assert max(seen) == 10000
 
 
 # (lattice, property): nodes_explored, the stages' and the witness rerun's
-# nodes, under lex-leader pruning.  Result tests cannot tell a sound but
-# weaker cut from this one; these counts can.
+# nodes, under lex-leader pruning and the member filter.  Result tests
+# cannot tell a sound but weaker cut from these; the counts can.
 PRUNED_NODES = {
-    ("b:6", CANC): 2795,
-    ("b:6", SC): 540,
-    ("b:6", REC): 1633,
-    ("d:4^3", CANC): 35190,
-    ("d:4^3", SC): 11558,
-    ("d:4^3", REC): 11558,
-    ("d:3,4,3", CANC): 3244,  # chains 0 and 2 swap, though not adjacent
-    ("d:3^4", CANC): 27352,
-    ("d:3^4", SC): 2464,
-    ("d:3^4", REC): 9228,
+    ("b:6", CANC): 391,
+    ("b:6", SC): 381,
+    ("b:6", REC): 759,
+    ("d:4^3", CANC): 18404,
+    ("d:4^3", SC): 4040,
+    ("d:4^3", REC): 4040,
+    ("d:3,4,3", CANC): 1329,  # chains 0 and 2 swap, though not adjacent
+    ("d:3^4", CANC): 7864,
+    ("d:3^4", SC): 1017,
+    ("d:3^4", REC): 5766,
 }
 
 
@@ -479,6 +485,58 @@ def test_exclusions_stop_early_only_below_need():
                         lattice, prop, family, j, need)
                     stopped += kept != full
     assert stopped  # some calls did stop early
+
+
+def _valid_families(lattice, points, prop):
+    """Every valid family as ascending point indices, grown point by point
+    from the empty one with the naive check (valid families are hereditary)."""
+    check = NAIVE_CHECKS[prop]
+    level = [()]
+    while level:
+        yield from level
+        level = [(*family, k) for family in level
+                 for k in range((family[-1] + 1) if family else 0, len(points))
+                 if check(PointSet(lattice, tuple(points[i] for i in (*family, k))))]
+
+
+def test_member_filter_keeps_every_member():
+    # in a valid family F, a member a has |F|-1 distinct meets a&b with the
+    # other members, all below a, and but for cancellative as many distinct
+    # joins above a: so |down(a)| = prod(a_s + 1) and |up(a)| =
+    # prod(l_s - a_s) are at least |F|-1.  Both hold with equality somewhere,
+    # and some cancellative member has fewer points above it.  M_t holds
+    # exactly the points that pass for t = |F|, so every member of F.
+    rng = random.Random(4181)
+    lattices = [parse_lattice_spec(spec) for spec in ("b:2", "b:3", "d:3,3", "d:2,4", "d:1,3,1")]
+    while len(lattices) < 16:
+        lattice = random_lattice(rng, max_k=4, max_l=4)
+        if lattice.size <= 12:
+            lattices.append(lattice)
+    tight = {"down": 0, "up": 0, "cancellative up short": 0}
+    for lattice in lattices:
+        points = enumerate_lattice(lattice)
+        n = len(points)
+        down = [math.prod(x + 1 for x in p.coords) for p in points]
+        up = [math.prod(l - x for l, x in zip(lattice.lengths, p.coords)) for p in points]
+        for prop in (CANC, SC, REC):
+            memo = {}
+            filters = {}
+            for t in range(1, n + 2):
+                filters[t] = _members(lattice, prop, t, memo)
+                assert filters[t] == sum(1 << i for i in range(n) if down[i] >= t - 1 and (
+                    prop == CANC or up[i] >= t - 1)), (lattice, prop, t)
+            for family in _valid_families(lattice, points, prop):
+                t = len(family)
+                for a in family:
+                    assert down[a] >= t - 1, (lattice, prop, family, a)
+                    tight["down"] += down[a] == t - 1
+                    if prop == CANC:
+                        tight["cancellative up short"] += up[a] < t - 1
+                    else:
+                        assert up[a] >= t - 1, (lattice, prop, family, a)
+                        tight["up"] += up[a] == t - 1
+                    assert filters[t] >> a & 1, (lattice, prop, family, a)
+    assert all(tight.values()), tight
 
 
 def test_greedy_matches_naive_scan():
