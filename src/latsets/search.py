@@ -53,9 +53,11 @@ the number of candidates, and exact search stops filtering once fewer
 candidates remain than its target still needs: the O(|F|) triple sets
 come first, and recovering's quad sets only when the triples leave
 enough.  Exact search caches the sets under int keys; greedy, which meets
-each pair once, builds them afresh.  In exact search a triple set reads,
-per chain, the six slices of the digits of b and j from a table filled
-on first use and emptied with the cache.
+each pair once, builds them afresh.  A triple set reads its slices on
+each chain straight from the digits x of b and y of j there: k&b = j&b
+takes >= x if x <= y, else == y; k&j = b&j the same with x and y swapped;
+k&b = k&j takes <= min(x, y) if x != y, and no slice if x = y.  The join
+duals read <= for >= and max for min throughout.
 
 After the stages, a c-pruned rerun returns the canonically first family
 of the optimal size as the witness; it counts its nodes on from the
@@ -277,21 +279,19 @@ def _exclusions(lattice: ChainProductLattice, prop: str,
     full filter would leave fewer than need too.  Recovering's quad sets
     follow only when the triples leave at least need points.  excl keeps
     the sets under int keys in a cache that it empties once it would pass
-    about cache_bits bits, and with it the per-chain slice tables, which
-    hold at most one tuple per chain and cached set.  excl alone holds the
-    points' masks (lattice.enumerate_masks)."""
+    about cache_bits bits.  excl alone holds the points' masks
+    (lattice.enumerate_masks)."""
     vals = enumerate_masks(lattice)
     n = len(vals)
     full = (1 << n) - 1
     offset = sum(lattice.lengths) - lattice.k  # the mask width
-    # per chain of l > 1 elements: its mask block, l, the table of triples'
-    # slices by pair of digits and, by value x, the bitsets of the points
-    # whose digit is == x, >= x and <= x
+    # per chain of l > 1 elements: its mask block and, by value x, the
+    # bitsets of the points whose digit is == x, >= x and <= x
     chains = []
     for l, w, masks in zip(lattice.lengths, _weights(lattice), _chain_tables(lattice)):
         if l > 1:
             repeat = full // ((1 << w * l) - 1)  # bit 0 of every period
-            chains.append((masks[-1], l, {},
+            chains.append((masks[-1],
                            [((1 << w) - 1 << x * w) * repeat for x in range(l)],
                            [((1 << (l - x) * w) - 1 << x * w) * repeat for x in range(l)],
                            [((1 << (x + 1) * w) - 1) * repeat for x in range(l)]))
@@ -301,7 +301,7 @@ def _exclusions(lattice: ChainProductLattice, prop: str,
         per chain, k's digit is v's where v and z differ, else at least
         (join: at most) z's."""
         x = full
-        for block, _, _, eq, ge, le in chains:
+        for block, eq, ge, le in chains:
             zs = (z & block).bit_count()
             vs = (v & block).bit_count()
             x &= eq[vs] if vs != zs else le[zs] if join else ge[zs]
@@ -311,28 +311,22 @@ def _exclusions(lattice: ChainProductLattice, prop: str,
         """The points k that violate the property with b and j, in one pass
         over the chains: k&b = j&b, k&j = b&j and k&b = k&j (no condition
         where b and j agree), and for all but cancellative the join duals.
-        A chain keeps the six slices of each pair of digits x, y that has
-        come up, under the key x * l + y."""
+        On a chain where b has digit x and j digit y, each set takes the
+        slice that its condition names there."""
         mb = mj = ms = jb = jj = js = full
-        for block, l, table, eq, ge, le in chains:
+        for block, eq, ge, le in chains:
             x = (b & block).bit_count()
             y = (j & block).bit_count()
-            pair = table.get(x * l + y)
-            if pair is None:
-                if x < y:
-                    pair = ge[x], eq[x], le[x], eq[y], le[y], ge[y]
-                elif x > y:
-                    pair = eq[y], ge[y], le[y], le[x], eq[x], ge[x]
-                else:
-                    pair = ge[x], ge[x], full, le[x], le[x], full
-                table[x * l + y] = pair
-            smb, smj, sms, sjb, sjj, sjs = pair
-            mb &= smb
-            mj &= smj
-            ms &= sms
-            jb &= sjb
-            jj &= sjj
-            js &= sjs
+            mb &= ge[x] if x <= y else eq[y]
+            mj &= ge[y] if y <= x else eq[x]
+            jb &= le[x] if x >= y else eq[y]
+            jj &= le[y] if y >= x else eq[x]
+            if x < y:
+                ms &= le[x]
+                js &= ge[y]
+            elif x > y:
+                ms &= le[y]
+                js &= ge[x]
         x = mb | mj | ms
         return x if prop == CANCELLATIVE else x | jb | jj | js
 
@@ -348,8 +342,6 @@ def _exclusions(lattice: ChainProductLattice, prop: str,
         hi, lo = key >> offset + 2, key >> 2 & (1 << offset) - 1
         if len(cache) >= limit:
             cache.clear()
-            for chain in chains:
-                chain[2].clear()
         s = cache[key] = product(lo, hi, kind == 2) if kind else triples(hi, lo)
         return s
 

@@ -39,11 +39,14 @@ CANC = "cancellative"
 # run without it (27 s), as do the d:2,2,3,2 and d:2,2,3,3 rows.  The
 # d:3^4 rows come from the search that kept each node's sorted images as
 # lists, before they became bitsets.  d:4^4
-# strongly cancellative and the d:5^3 rows of SLOW_OPTIMA come from the
-# search that tested candidates one by one (13.6 s, 10.4 s and 8.1 s), and
-# the bit-parallel search finds the same witnesses.  b:8 cancellative comes
-# from the bit-parallel search with full exclusion filters (38 s on one
-# core); with the member filter it takes about 0.5 s.
+# strongly cancellative and the d:5^3 rows, here and in SLOW_OPTIMA, come
+# from the search that tested candidates one by one (13.6 s, 10.4 s and
+# 8.1 s), and the bit-parallel search finds the same witnesses.  b:8
+# cancellative, b:9 and d:3^5 strongly cancellative come from the
+# bit-parallel search, the first with full exclusion filters (38 s on one
+# core), the other two with early-stopping ones (75 264 and 1 914 872
+# nodes, 1.0 s and 4.6 s).  With the member filter each of them takes
+# under a second.
 OPTIMA = {
     ("b:2", CANC): (3, (1, 2, 3)),
     ("b:2", SC): (2, (0, 1)),
@@ -96,6 +99,11 @@ OPTIMA = {
     ("d:3^4", REC): (6, (5, 16, 35, 45, 64, 75)),
     ("d:4^4", SC): (16, (15, 27, 39, 51, 78, 90, 102, 114,
                          141, 153, 165, 177, 204, 216, 228, 240)),
+    ("b:9", SC): (16, (15, 23, 43, 51, 77, 85, 105, 113,
+                       142, 150, 170, 178, 204, 212, 232, 240)),
+    ("d:3^5", SC): (12, (17, 41, 47, 59, 97, 121, 127, 139, 177, 201, 207, 219)),
+    ("d:5^3", SC): (7, (13, 39, 57, 65, 71, 87, 102)),
+    ("d:5^3", REC): (7, (13, 39, 57, 65, 71, 87, 102)),
     # a stage that used a generator moving points below the stage's point
     # into its suffix would miss these optima and return 5
     ("d:2,2,3,2", CANC): (6, (5, 9, 16, 19, 20, 23)),
@@ -107,19 +115,10 @@ OPTIMA = {
 # d:5^3 cancellative rows come from the bit-parallel search with full
 # exclusion filters (12.6 s and 16 s on one core); the filters that stop
 # early find the same witnesses with the same node counts, and the member
-# filter with fewer (still 6-9 s).  The b:9 and d:3^5 strongly
-# cancellative rows come from the search with early-stopping filters
-# (75 264 and 1 914 872 nodes, 1.0 s and 4.6 s); with the member filter
-# they and the d:5^3 strongly cancellative and recovering rows take under
-# a second each.
+# filter with fewer (still 6-9 s).
 SLOW_OPTIMA = {
-    ("d:5^3", SC): (7, (13, 39, 57, 65, 71, 87, 102)),
-    ("d:5^3", REC): (7, (13, 39, 57, 65, 71, 87, 102)),
     ("d:5^3", CANC): (10, (24, 44, 48, 64, 72, 84, 96, 104, 120, 124)),
     ("b:8", REC): (8, (7, 27, 104, 117, 169, 180, 206, 210)),
-    ("b:9", SC): (16, (15, 23, 43, 51, 77, 85, 105, 113,
-                       142, 150, 170, 178, 204, 212, 232, 240)),
-    ("d:3^5", SC): (12, (17, 41, 47, 59, 97, 121, 127, 139, 177, 201, 207, 219)),
 }
 SLOW = pytest.mark.skipif(not os.environ.get("LATSETS_SLOW_TESTS"),
                           reason="set LATSETS_SLOW_TESTS=1 to run the slow pins")

@@ -428,11 +428,12 @@ def test_exclusions_match_verifier():
     # for a valid family F and a point j that fits it, a point k that fits
     # F stays a candidate exactly when F + {j, k} is valid: with the cache
     # of exact search, one emptied every three entries, and none.  F is
-    # random on b:4 and d:3,3,2; on b:5, where recovering families of four
+    # random on b:4, d:3,3,2 and d:5,3, whose chain of 5 gives interior
+    # digits in every order; on b:5, where recovering families of four
     # points exist, F runs over every pair, so that quads decide some k.
     rng = random.Random(31415)
     for spec, props in (("b:4", (CANC, SC, REC)), ("d:3,3,2", (CANC, SC, REC)),
-                        ("b:5", (REC,))):
+                        ("d:5,3", (CANC, SC, REC)), ("b:5", (REC,))):
         lattice = parse_lattice_spec(spec)
         points = enumerate_lattice(lattice)
         n = len(points)
