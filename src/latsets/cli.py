@@ -169,10 +169,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         **result.to_json_dict(),
     }
     text = json.dumps(_json_ready(payload), indent=2) + "\n"
-    sys.stdout.write(text)
-    if args.out:
+    if args.out:  # first, so that a failed write leaves stdout empty
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
     return 0
 
 

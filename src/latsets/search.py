@@ -66,29 +66,28 @@ stages, under the same budget.  Search runs on one thread.
 Both the stages and the rerun break symmetry by lex-leader pruning
 (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for
 search problems", KR 1996).  Swapping any two chains of equal length is
-a lattice automorphism, and reversing every chain swaps meet and join,
-which preserves strongly cancellative and recovering (not cancellative).
-These generators act on point indices arithmetically.  A child is cut,
-before it costs a node, when sorted g(P) < P as lists for some g, P being
-its ascending prefix.  Where the two first differ, g(P) holds the smaller
-point; every completion F of P adds only points above P, so sorted
-g(F) < F as well, F is not the lexicographically first family of its
-orbit, and that family survives elsewhere in the tree.  P and g(P) have
-the same size, so the cut holds exactly when the lowest point in one of
-them only lies in g(P); each node keeps P and every g(P) as index
-bitsets, and a child ORs in the bits of j and g(j).  The rerun uses every
-generator, since the canonical witness is the first family of its orbit.
-Stage i asks about families inside {i..n-1} that start at i, so it uses
-only the generators that fix i and map {i..n-1} into itself; the first
-such family is the first of its orbit, so every stage finds the family it
-found without symmetry and c[] keeps its meaning.  As i falls, each
-generator g keeps low, the least of g(i..n-1); g serves stage i when
-low == i == g(i).  The g(i) of each stage go into a list per generator,
-from which nodes read g(j), and the rerun completes the lists down to
-g(0): no table per point is built ahead.  The member filter leaves this
-argument intact: M_t keeps every point of the first family, and it maps
-onto itself under each chain swap and, since it bounds the points both
-below and above, under reversal.
+a lattice automorphism, so it keeps all three properties; the generators
+g swap two consecutive chains of one length, acting on point indices
+arithmetically.  A child is cut, before it costs a node, when sorted
+g(P) < P as lists for some g, P being its ascending prefix.  Where the
+two first differ, g(P) holds the smaller point; every completion F of P
+adds only points above P, so sorted g(F) < F as well, F is not the
+lexicographically first family of its orbit, and that family survives
+elsewhere in the tree.  P and g(P) have the same size, so the cut holds
+exactly when the lowest point in one of them only lies in g(P); each
+node keeps P and every g(P) as index bitsets, and a child ORs in the
+bits of j and g(j).  The rerun uses every generator, since the canonical
+witness is the first family of its orbit.  Stage i asks about families
+inside {i..n-1} that start at i, so it uses only the generators that fix
+i and map {i..n-1} into itself; the first such family is the first of
+its orbit, so every stage finds the family it found without symmetry and
+c[] keeps its meaning.  As i falls, each generator g keeps low, the
+least of g(i..n-1); g serves stage i when low == i == g(i).  The g(i) of
+each stage go into a list per generator, from which nodes read g(j), and
+the rerun completes the lists down to g(0): no table per point is built
+ahead.  The member filter leaves this argument intact: M_t keeps every
+point of the first family, and it maps onto itself under each chain
+swap.
 """
 
 from __future__ import annotations
@@ -234,22 +233,16 @@ def _transposition(u: int, w: int, l: int) -> Callable:
     return lambda i: i + ((i // w) % l - (i // u) % l) * (u - w)
 
 
-def _symmetries(lattice: ChainProductLattice, prop: str) -> list[Callable]:
+def _symmetries(lattice: ChainProductLattice) -> list[Callable]:
     """Symmetry generators of the search, as maps from a point index to the
     index of its image: per class of chains of equal length l > 1, the swap
-    of each two consecutive members, and order reversal for the properties
-    it keeps.  Identities are left out."""
+    of each two consecutive members."""
     classes: dict[int, list[int]] = {}  # chain length -> weights of its chains
     for l, w in zip(lattice.lengths, _weights(lattice)):
         if l > 1:
             classes.setdefault(l, []).append(w)
-    gens = [_transposition(u, w, l)
+    return [_transposition(u, w, l)
             for l, ws in classes.items() for u, w in zip(ws, ws[1:])]
-    n = lattice.size
-    if prop != CANCELLATIVE and n > 1:
-        top = n - 1
-        gens.append(lambda i: top - i)
-    return gens
 
 
 def _child_images(tables: list, images: list, r: int, points: int) -> Optional[list]:
@@ -460,7 +453,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
 
     try:
         cap = _bound_cap(config.lattice, prop)
-        symmetries = _symmetries(config.lattice, prop)
+        symmetries = _symmetries(config.lattice)
         # per generator g: g(n-1), g(n-2), ... down to the latest stage, and
         # low, the least image of i..n-1
         all_tables = [[] for _ in symmetries]

@@ -158,6 +158,15 @@ def test_search_flags(capsys, tmp_path):
     assert data["mode"] == "greedy" and data["bestSize"] >= 1
 
 
+def test_search_unwritable_out_leaves_stdout_empty(capsys, tmp_path):
+    # like construct -o and table, a failed search prints no result
+    out_path = tmp_path / "missing" / "result.json"
+    code, out, err = run_cli(capsys, "search", "--lattice", "b:3",
+                             "--property", "recovering", "--out", str(out_path))
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert not out_path.exists()
+
+
 def test_search_progress_lines(capsys):
     # progress goes to stderr only: stdout is the same bytes with or without
     # it, and each line reports the nodes so far with their time and rate

@@ -298,6 +298,7 @@ PRUNED_NODES = {
     ("d:3^4", CANC): 7864,
     ("d:3^4", SC): 1017,
     ("d:3^4", REC): 5766,
+    ("d:5^3", SC): 219445,
 }
 
 
@@ -322,42 +323,44 @@ def _symmetry_lattices() -> list:
 SYMMETRY_LATTICES = _symmetry_lattices()
 
 
+def _chain_swap(lattice, s, t) -> list:
+    """The swap of chains s and t as a permutation of the point indices,
+    computed on the points' coordinates."""
+    points = enumerate_lattice(lattice)
+    index = {p.coords: i for i, p in enumerate(points)}
+    perm = []
+    for p in points:
+        coords = list(p.coords)
+        coords[s], coords[t] = coords[t], coords[s]
+        perm.append(index[tuple(coords)])
+    return perm
+
+
 def test_symmetries_are_automorphisms():
-    # every generator is a bijection on indices other than the identity;
-    # transpositions keep & and |, reversal swaps them
-    counts = {"transposition": 0, "reversal": 0}
+    # the generators are exactly the swaps of each two consecutive chains of
+    # one length l > 1, and each keeps & and |
+    assert len(_symmetries(parse_lattice_spec("d:3,4,3"))) == 1
+    assert len(_symmetries(parse_lattice_spec("b:4"))) == 3
     for lattice in SYMMETRY_LATTICES:
         vals = enumerate_masks(lattice)
         n = len(vals)
         index = {v: i for i, v in enumerate(vals)}
-        for image in _symmetries(lattice, SC):
-            perm = [image(i) for i in range(n)]
-            assert sorted(perm) == list(range(n)) and perm != sorted(perm), lattice
-            kind = "reversal" if perm == list(range(n - 1, -1, -1)) else "transposition"
-            counts[kind] += 1
+        classes = {}
+        for s, l in enumerate(lattice.lengths):
+            if l > 1:
+                classes.setdefault(l, []).append(s)
+        expected = [_chain_swap(lattice, s, t)
+                    for chains in classes.values() for s, t in zip(chains, chains[1:])]
+        perms = [[image(i) for i in range(n)] for image in _symmetries(lattice)]
+        assert sorted(perms) == sorted(expected), lattice
+        for perm in perms:
             for a in range(n):
                 ga = vals[perm[a]]
                 for b in range(n):
                     gb = vals[perm[b]]
                     meet_image = vals[perm[index[vals[a] & vals[b]]]]
                     join_image = vals[perm[index[vals[a] | vals[b]]]]
-                    if kind == "reversal":
-                        assert (meet_image, join_image) == (ga | gb, ga & gb), lattice
-                    else:
-                        assert (meet_image, join_image) == (ga & gb, ga | gb), lattice
-    assert counts["transposition"] and counts["reversal"]
-
-
-def test_reversal_only_for_self_dual_properties():
-    # reversal swaps meet and join: it keeps strongly cancellative and
-    # recovering, but not cancellative, which constrains meets only
-    for lattice in SYMMETRY_LATTICES:
-        n = lattice.size
-        reversed_order = list(range(n - 1, -1, -1))
-        for prop in (CANC, SC, REC):
-            reversals = [image for image in _symmetries(lattice, prop)
-                         if [image(i) for i in range(n)] == reversed_order]
-            assert len(reversals) == (0 if prop == CANC or n == 1 else 1), (lattice, prop)
+                    assert (meet_image, join_image) == (ga & gb, ga | gb), lattice
 
 
 def test_child_images_match_list_rule():
