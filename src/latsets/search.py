@@ -52,12 +52,13 @@ costs at most O(|F|) bitset operations (recovering O(|F|^2)), whatever
 the number of candidates, and exact search stops filtering once fewer
 candidates remain than its target still needs: the O(|F|) triple sets
 come first, and recovering's quad sets only when the triples leave
-enough.  Exact search caches the sets under int keys; greedy, which meets
-each pair once, builds them afresh.  A triple set reads its slices on
-each chain straight from the digits x of b and y of j there: k&b = j&b
-takes >= x if x <= y, else == y; k&j = b&j the same with x and y swapped;
-k&b = k&j takes <= min(x, y) if x != y, and no slice if x = y.  The join
-duals read <= for >= and max for min throughout.
+enough.  Exact search memoizes the sets with functools.lru_cache; greedy,
+which meets each pair once, gives the caches no room.  A triple set
+reads its slices on each chain straight from the digits x of b and y of
+j there: k&b = j&b takes >= x if x <= y, else == y; k&j = b&j the same
+with x and y swapped; k&b = k&j takes <= min(x, y) if x != y, and no
+slice if x = y.  The join duals read <= for >= and max for min
+throughout.
 
 After the stages, a c-pruned rerun returns the canonically first family
 of the optimal size as the witness; it counts its nodes on from the
@@ -94,6 +95,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 from typing import Callable, Optional
@@ -118,7 +120,7 @@ GREEDY = "greedy"
 MODES = (EXACT, GREEDY)
 
 DEFAULT_NODE_BUDGET = 10**9
-_CACHE_BITS = 1 << 28  # exclusion cache of exact search: about 32 MB at most
+_CACHE_BITS = 1 << 28  # the exclusion caches of exact search: about 32 MB at most
 
 
 @dataclass(frozen=True)
@@ -270,14 +272,14 @@ def _exclusions(lattice: ChainProductLattice, prop: str,
     removes the triple sets first, newest member of F first, and may stop
     as soon as fewer than need points remain: exclusions only grow, so the
     full filter would leave fewer than need too.  Recovering's quad sets
-    follow only when the triples leave at least need points.  excl keeps
-    the sets under int keys in a cache that it empties once it would pass
-    about cache_bits bits.  excl alone holds the points' masks
+    follow only when the triples leave at least need points.  The triple
+    and product sets are memoized by two lru_caches that together hold
+    about cache_bits bits, the least recently used set going first; with
+    cache_bits 0 they hold none.  excl alone holds the points' masks
     (lattice.enumerate_masks)."""
     vals = enumerate_masks(lattice)
     n = len(vals)
     full = (1 << n) - 1
-    offset = sum(lattice.lengths) - lattice.k  # the mask width
     # per chain of l > 1 elements: its mask block and, by value x, the
     # bitsets of the points whose digit is == x, >= x and <= x
     chains = []
@@ -323,28 +325,18 @@ def _exclusions(lattice: ChainProductLattice, prop: str,
         x = mb | mj | ms
         return x if prop == CANCELLATIVE else x | jb | jj | js
 
-    cache: dict[int, int] = {}
-    get = cache.get
-    limit = cache_bits // (n + 1024)  # an entry costs about 128 bytes besides its set
-
-    def miss(key: int) -> int:
-        """Build the set of key (hi << offset | lo) << 2 | kind and cache it:
-        for kind 0, the points k that violate the property with the points
-        hi and lo; for kind 1, {k : k&lo = hi}; for kind 2, {k : k|lo = hi}."""
-        kind = key & 3
-        hi, lo = key >> offset + 2, key >> 2 & (1 << offset) - 1
-        if len(cache) >= limit:
-            cache.clear()
-        s = cache[key] = product(lo, hi, kind == 2) if kind else triples(hi, lo)
-        return s
+    # both caches together hold about cache_bits bits: an lru_cache entry
+    # costs about 160 bytes besides its n-bit set, within the 2048 bits
+    # allowed (tracemalloc: both caches filled on b:10 peak at 30 MB for
+    # the default cache_bits)
+    size = cache_bits // (2 * (n + 2048))
+    product = lru_cache(maxsize=size)(product)
+    triples = lru_cache(maxsize=size)(triples)
 
     def excl(family: list, j: int, cands: int, need: int) -> int:
-        # no set is empty (a triple set holds j, a product set v), so `or`
-        # calls miss on misses only
         jv = vals[j]
         for b in reversed(family):  # triples {b, j, k}
-            key = (vals[b] << offset | jv) << 2
-            cands &= ~(get(key) or miss(key))
+            cands &= ~triples(vals[b], jv)
             if cands.bit_count() < need:
                 return cands
         if prop == RECOVERING:  # quads: k&j is a pair meet of F, or k&z = j&y
@@ -354,21 +346,17 @@ def _exclusions(lattice: ChainProductLattice, prop: str,
                     if y != z:
                         v = jv & y
                         if v & z == v:
-                            key = (v << offset | z) << 2 | 1
-                            cands &= ~(get(key) or miss(key))
+                            cands &= ~product(z, v, False)
                         v = jv | y
                         if v | z == v:
-                            key = (v << offset | z) << 2 | 2
-                            cands &= ~(get(key) or miss(key))
+                            cands &= ~product(z, v, True)
             for a, b in combinations(fam, 2):
                 v = a & b
                 if v & jv == v:
-                    key = (v << offset | jv) << 2 | 1
-                    cands &= ~(get(key) or miss(key))
+                    cands &= ~product(jv, v, False)
                 v = a | b
                 if v | jv == v:
-                    key = (v << offset | jv) << 2 | 2
-                    cands &= ~(get(key) or miss(key))
+                    cands &= ~product(jv, v, True)
         return cands
 
     return excl

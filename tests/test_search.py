@@ -429,8 +429,8 @@ def _random_family(rng, n, fits, size) -> list:
 
 def test_exclusions_match_verifier():
     # for a valid family F and a point j that fits it, a point k that fits
-    # F stays a candidate exactly when F + {j, k} is valid: with the cache
-    # of exact search, one emptied every three entries, and none.  F is
+    # F stays a candidate exactly when F + {j, k} is valid: with the caches
+    # of exact search, with caches of two sets each, and with none.  F is
     # random on b:4, d:3,3,2 and d:5,3, whose chain of 5 gives interior
     # digits in every order; on b:5, where recovering families of four
     # points exist, F runs over every pair, so that quads decide some k.
@@ -443,7 +443,7 @@ def test_exclusions_match_verifier():
         for prop in props:
             fits = _family_fits(lattice, points, prop)
             variants = [_exclusions(lattice, prop, bits)
-                        for bits in (_CACHE_BITS, 3 * (n + 1024), 0)]
+                        for bits in (_CACHE_BITS, 4 * (n + 2048), 0)]
             families = ([list(pair) for pair in itertools.combinations(range(n), 2)]
                         if spec == "b:5" else
                         [_random_family(rng, n, fits, rng.randint(0, 5)) for _ in range(60)])
@@ -457,6 +457,21 @@ def test_exclusions_match_verifier():
                     kept = excl(family, j, (1 << n) - 1, 0)
                     assert [k for k in cands if k != j and kept >> k & 1] == expected, (
                         lattice, prop, family, j)
+
+
+def test_cache_size_changes_only_time(monkeypatch):
+    # with room for two sets per exclusion cache, so that eviction never
+    # stops, every search returns what it returns with the default caches,
+    # node count included
+    for spec, props in (("b:6", (CANC, SC, REC)), ("d:4^3", (CANC, REC)),
+                        ("d:3,4,3", (CANC,)), ("d:3^4", (REC,))):
+        lattice = parse_lattice_spec(spec)
+        for prop in props:
+            config = SearchConfig(lattice, prop)
+            expected = exact_max(config).to_json_dict()
+            with monkeypatch.context() as patch:
+                patch.setattr(latsets.search, "_CACHE_BITS", 4 * (lattice.size + 2048))
+                assert exact_max(config).to_json_dict() == expected, (spec, prop)
 
 
 def test_exclusions_stop_early_only_below_need():
