@@ -28,37 +28,29 @@ the target size.  Take a member a of a valid family F: the |F|-1 meets
 a&b with the other members b are distinct, by cancellativity, and lie
 below a, so a has prod(a_s + 1) >= |F|-1 points below or at it; for
 strongly cancellative and recovering the joins likewise give
-prod(l_s - a_s) >= |F|-1 points above or at it.  M_t, the bitset of the
-points that pass for t = |F|, is built by a recursion over the chains,
-memoized per chain and per pair of products still needed.  Each stage
-ANDs its root candidates with M_t for its target t, and a stage whose own
-point lies outside M_t fails without a node; the rerun uses M_c[0].  M_t
-holds every member of every family of t points, so each stage and the
-rerun find the family they found without the filter.
+prod(l_s - a_s) >= |F|-1 points above or at it.  So each point gets a
+key, the first product or the smaller of the two, and M_t is the bitset
+of the points whose key is at least t-1.  Each stage ANDs its root
+candidates with M_t for its target t, a stage whose own point's key is
+short fails without a node, and the rerun uses M_c[0].  M_t holds every
+member of every family of t points, so each stage and the rerun find the
+family they found without the filter.
 
 Search works on point indices.  Only the exclusion filter holds the
 points' thermometer masks (lattice.enumerate_masks), in which meet and
-join are & and | on every lattice.  Candidate sets
-are filtered bit-parallel, as San Segundo, Rodriguez-Losada and Jimenez
-filter by edges ("An exact bit-parallel algorithm for the maximum clique
-problem", Computers & OR 38, 2011).  When j joins a valid family F, a
-candidate k drops out when a violation involves both: k&b = j&b,
-k&j = b&j or k&b = k&j for some b in F, with the join duals for strongly
-cancellative and recovering; for recovering also k&j equal to a pair
-meet of F, or k&z = j&y for z != y in F, and the join duals.  Meet and
-join act per chain, so each such set is a product set, an AND of slices
-(the points whose digit on one chain is ==, >= or <= a value).  A child
-costs at most O(|F|) bitset operations (recovering O(|F|^2)), whatever
-the number of candidates, and exact search stops filtering once fewer
-candidates remain than its target still needs: the O(|F|) triple sets
-come first, and recovering's quad sets only when the triples leave
-enough.  Exact search memoizes the sets with functools.lru_cache; greedy,
-which meets each pair once, gives the caches no room.  A triple set
-reads its slices on each chain straight from the digits x of b and y of
-j there: k&b = j&b takes >= x if x <= y, else == y; k&j = b&j the same
-with x and y swapped; k&b = k&j takes <= min(x, y) if x != y, and no
-slice if x = y.  The join duals read <= for >= and max for min
-throughout.
+join are & and | on every lattice.  Candidate sets are filtered
+bit-parallel, as San Segundo, Rodriguez-Losada and Jimenez filter by
+edges ("An exact bit-parallel algorithm for the maximum clique problem",
+Computers & OR 38, 2011).  When j joins a valid family F, a candidate k
+drops out when a violation involves both: k&b = j&b, k&j = b&j or
+k&b = k&j for some b in F, with the join duals for strongly cancellative
+and recovering; for recovering also k&j equal to a pair meet of F, or
+k&z = j&y for z != y in F, and the join duals.  Each such set is the AND
+of two block tables (_exclusions).  A child costs at most O(|F|) bitset
+operations (recovering O(|F|^2)), whatever the number of candidates, and
+exact search stops filtering once fewer candidates remain than its
+target still needs: the O(|F|) triple sets come first, and recovering's
+quad sets only when the triples leave enough.
 
 After the stages, a c-pruned rerun returns the canonically first family
 of the optimal size as the witness; it counts its nodes on from the
@@ -74,26 +66,24 @@ g(P) < P as lists for some g, P being its ascending prefix.  Where the
 two first differ, g(P) holds the smaller point; every completion F of P
 adds only points above P, so sorted g(F) < F as well, F is not the
 lexicographically first family of its orbit, and that family survives
-elsewhere in the tree.  P and g(P) have the same size, so the cut holds
-exactly when the lowest point in one of them only lies in g(P); each
-node keeps P and every g(P) as index bitsets, and a child ORs in the
-bits of j and g(j).  The rerun uses every generator, since the canonical
-witness is the first family of its orbit.  Stage i asks about families
-inside {i..n-1} that start at i, so it uses only the generators that fix
-i and map {i..n-1} into itself; the first such family is the first of
-its orbit, so every stage finds the family it found without symmetry and
-c[] keeps its meaning.  As i falls, each generator g keeps low, the
-least of g(i..n-1); g serves stage i when low == i == g(i).  The g(i) of
-each stage go into a list per generator, from which nodes read g(j), and
-the rerun completes the lists down to g(0): no table per point is built
-ahead.  The member filter leaves this argument intact: M_t keeps every
-point of the first family, and it maps onto itself under each chain
-swap.
+elsewhere in the tree.  The rerun uses every generator, since the
+canonical witness is the first family of its orbit.  Stage i asks about
+families inside {i..n-1} that start at i, so it uses only the generators
+that fix i and map {i..n-1} into itself; the first such family is the
+first of its orbit, so every stage finds the family it found without
+symmetry and c[] keeps its meaning.  As i falls, each generator g keeps
+low, the least of g(i..n-1); g serves stage i when low == i == g(i).
+The g(i) of each stage go into a list per generator, which the rerun
+completes down to g(0).  A stage packs the images of its generators into
+lanes of one int (_lex_cut), so that one borrow test per child checks
+them all.  M_t keeps every point of the first family, and maps onto
+itself under each chain swap, so the member filter keeps this argument.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -101,19 +91,9 @@ from operator import mul
 from typing import Callable, Optional
 
 from .bounds import applicable_bounds
-from .lattice import (
-    ChainProductLattice,
-    PointSet,
-    _chain_tables,
-    enumerate_lattice,
-    enumerate_masks,
-)
-from .verify import (
-    CANCELLATIVE,
-    RECOVERING,
-    normalize_property,
-    satisfies,
-)
+from .lattice import (ChainProductLattice, PointSet, _chain_tables, enumerate_lattice,
+                      enumerate_masks)
+from .verify import CANCELLATIVE, RECOVERING, normalize_property, satisfies
 
 EXACT = "exact"
 GREEDY = "greedy"
@@ -201,33 +181,21 @@ def _weights(lattice: ChainProductLattice) -> list[int]:
     return [math.prod(lattice.lengths[s + 1:]) for s in range(lattice.k)]
 
 
-def _members(lattice: ChainProductLattice, prop: str, target: int, memo: dict) -> int:
-    """M_t, the bitset of the points a that pass the member filter for
-    families of t = target points: prod(a_s + 1) >= t - 1 and, for all but
-    cancellative, prod(l_s - a_s) >= t - 1.  memo keeps the bitsets of
-    _suffix_members across targets."""
-    need = max(target - 1, 1)
-    chains = tuple((l, w) for l, w in zip(lattice.lengths, _weights(lattice)) if l > 1)
-    return _suffix_members(chains, 0, need, 1 if prop == CANCELLATIVE else need, memo)
+def _member_keys(lattice: ChainProductLattice, prop: str) -> array:
+    """Per point a, in canonical order, the key of the member filter:
+    prod(a_s + 1), or for all but cancellative the smaller of that and
+    prod(l_s - a_s); a family of t points has only members of key >= t-1."""
+    down = up = [1]
+    for l in lattice.lengths:  # arrays, so that the products hold no int objects
+        down = array("q", (d * (x + 1) for d in down for x in range(l)))
+        up = array("q", (u * (l - x) for u in up for x in range(l)))
+    return down if prop == CANCELLATIVE else array("q", map(min, down, up))
 
 
-def _suffix_members(chains: tuple, s: int, down: int, up: int, memo: dict) -> int:
-    """The bitset, by index over the chains (l, w) from s on, of the digit
-    tuples a whose products prod(a_r + 1) reach down and prod(l_r - a_r)
-    reach up.  A chain of length 1 has only digit 0, which adds nothing to
-    an index or a product."""
-    if s == len(chains):
-        return int(down == up == 1)
-    key = (s, down, up)
-    found = memo.get(key)
-    if found is None:
-        l, w = chains[s]
-        found = 0
-        for x in range(l):
-            found |= _suffix_members(chains, s + 1, -(-down // (x + 1)),
-                                     -(-up // (l - x)), memo) << x * w
-        memo[key] = found
-    return found
+def _members(keys: array, target: int) -> int:
+    """M_t, the bitset of the points whose key is at least t - 1."""
+    need = target - 1
+    return int("".join(["1" if key >= need else "0" for key in reversed(keys)]), 2)
 
 
 def _transposition(u: int, w: int, l: int) -> Callable:
@@ -247,20 +215,24 @@ def _symmetries(lattice: ChainProductLattice) -> list[Callable]:
             for l, ws in classes.items() for u, w in zip(ws, ws[1:])]
 
 
-def _child_images(tables: list, images: list, r: int, points: int) -> Optional[list]:
-    """Lex-leader test of a child P + {j}, given as the bitset `points`:
-    per generator g, tables[g][r] is g(j) and images[g] the bitset of g(P).
-    The bitsets of the g(P + {j}), or None when for some g sorted g(P + {j})
-    < sorted P + {j} as lists.  Both sets have the same size, so that holds
-    exactly when the lowest point in only one of them lies in the image."""
-    child = []
-    for table, image in zip(tables, images):
-        image |= 1 << table[r]
-        low = image ^ points
-        if image & low & -low:
-            return None
-        child.append(image)
-    return child
+def _lanes(tables: list, lo: int, n: int) -> tuple:
+    """(lanes, ones, guards) of _lex_cut for the generators of these tables
+    on the points lo..n-1: per table, (its lane's offset less lo, table);
+    then bit 0 and the guard of every lane."""
+    width = n - lo + 1
+    ones = ((1 << len(tables) * width) - 1) // ((1 << width) - 1)
+    return [(q * width - lo, table) for q, table in enumerate(tables)], ones, ones << width - 1
+
+
+def _lex_cut(images: int, spread: int, ones: int) -> int:
+    """Nonzero when some generator g has sorted g(P) < sorted P, that is
+    (|g(P)| = |P|) when the lowest point in only one of them lies in g(P).
+    Each g has a lane of n - lo + 1 bits, bit x for the point lo + x, and a
+    guard on top; images holds g(P) in g's lane, spread P and the guard in
+    every lane.  y = images ^ spread keeps every guard, so y - ones borrows
+    within each lane and y & ~(y - ones) is each lane's lowest bit."""
+    y = images ^ spread
+    return y & ~(y - ones) & images
 
 
 def _exclusions(lattice: ChainProductLattice, prop: str,
@@ -268,70 +240,85 @@ def _exclusions(lattice: ChainProductLattice, prop: str,
     """excl(F, j, cands, need): cands less the points k for which F + {j, k}
     violates the property, given valid F + {j} and F + {k} (F, j and cands
     as indices and an index bitset).  Such a violation involves j and k, so
-    it lies in a union of product sets, ANDs of per-chain slices.  excl
-    removes the triple sets first, newest member of F first, and may stop
-    as soon as fewer than need points remain: exclusions only grow, so the
-    full filter would leave fewer than need too.  Recovering's quad sets
-    follow only when the triples leave at least need points.  The triple
-    and product sets are memoized by two lru_caches that together hold
-    about cache_bits bits, the least recently used set going first; with
-    cache_bits 0 they hold none.  excl alone holds the points' masks
-    (lattice.enumerate_masks)."""
+    it lies in a union of product sets.  excl removes the triple sets
+    first, newest member of F first, and may stop as soon as fewer than
+    need points remain: exclusions only grow, so the full filter would
+    leave fewer than need too.  Recovering's quad sets follow only when the
+    triples leave at least need points.
+
+    Every set is built from two block tables, contains(d) = {k : k&d = d}
+    and avoids(d) = {k : k&d = 0}, for masks d that are one run of bits on
+    each chain's block: k holds a run when it holds its highest bit, and
+    avoids it when it lacks its lowest, so a table ANDs one slice per
+    block.  Keyed by those bits, or by a point's mask (b&j, or top less
+    b|j), each table holds at most 2n sets; raw runs would give O(l^2)
+    keys per chain.  The sets and the tables are memoized by lru_caches
+    that together hold about cache_bits bits, the least recently used set
+    going first; with cache_bits 0 (greedy, which meets each pair once)
+    they hold none.  excl alone holds the points' masks."""
     vals = enumerate_masks(lattice)
     n = len(vals)
     full = (1 << n) - 1
-    # per chain of l > 1 elements: its mask block and, by value x, the
-    # bitsets of the points whose digit is == x, >= x and <= x
-    chains = []
+    top = vals[-1]  # every mask bit
+    has, lacks = {}, {}  # per mask bit: the points that have it, and the rest
+    lows = tops = 0  # the lowest and the highest bit of each block
     for l, w, masks in zip(lattice.lengths, _weights(lattice), _chain_tables(lattice)):
         if l > 1:
             repeat = full // ((1 << w * l) - 1)  # bit 0 of every period
-            chains.append((masks[-1],
-                           [((1 << w) - 1 << x * w) * repeat for x in range(l)],
-                           [((1 << (l - x) * w) - 1 << x * w) * repeat for x in range(l)],
-                           [((1 << (x + 1) * w) - 1) * repeat for x in range(l)]))
+            lows |= masks[1]
+            tops |= masks[-1] ^ masks[-2]
+            for x in range(1, l):
+                bit = masks[x] ^ masks[x - 1]
+                has[bit] = ((1 << (l - x) * w) - 1 << x * w) * repeat
+                lacks[bit] = ((1 << x * w) - 1) * repeat
+    not_lows, not_tops = ~lows, ~tops
 
-    def product(z: int, v: int, join: bool) -> int:
-        """{k : k&z = v} (join: k|z = v), for masks v <= z (join: v >= z):
-        per chain, k's digit is v's where v and z differ, else at least
-        (join: at most) z's."""
+    # an entry is an n-bit set plus about 160 bytes (within the 2048 bits
+    # allowed), so the four caches hold about cache_bits bits (tracemalloc:
+    # the triple and product caches filled on b:10 hold 15 MB by default)
+    size = cache_bits // (4 * (n + 2048))
+
+    def and_slices(slices: dict, key: int) -> int:  # one slice per bit of key
         x = full
-        for block, eq, ge, le in chains:
-            zs = (z & block).bit_count()
-            vs = (v & block).bit_count()
-            x &= eq[vs] if vs != zs else le[zs] if join else ge[zs]
+        while key:
+            bit = key & -key
+            key ^= bit
+            x &= slices[bit]
         return x
 
-    def triples(b: int, j: int) -> int:
-        """The points k that violate the property with b and j, in one pass
-        over the chains: k&b = j&b, k&j = b&j and k&b = k&j (no condition
-        where b and j agree), and for all but cancellative the join duals.
-        On a chain where b has digit x and j digit y, each set takes the
-        slice that its condition names there."""
-        mb = mj = ms = jb = jj = js = full
-        for block, eq, ge, le in chains:
-            x = (b & block).bit_count()
-            y = (j & block).bit_count()
-            mb &= ge[x] if x <= y else eq[y]
-            mj &= ge[y] if y <= x else eq[x]
-            jb &= le[x] if x >= y else eq[y]
-            jj &= le[y] if y >= x else eq[x]
-            if x < y:
-                ms &= le[x]
-                js &= ge[y]
-            elif x > y:
-                ms &= le[y]
-                js &= ge[x]
-        x = mb | mj | ms
-        return x if prop == CANCELLATIVE else x | jb | jj | js
+    @lru_cache(maxsize=size)
+    def contains(key: int) -> int:  # k holds a run when it holds the highest bit
+        return and_slices(has, key & ~(key >> 1 & not_tops))
 
-    # both caches together hold about cache_bits bits: an lru_cache entry
-    # costs about 160 bytes besides its n-bit set, within the 2048 bits
-    # allowed (tracemalloc: both caches filled on b:10 peak at 30 MB for
-    # the default cache_bits)
-    size = cache_bits // (2 * (n + 2048))
-    product = lru_cache(maxsize=size)(product)
-    triples = lru_cache(maxsize=size)(triples)
+    @lru_cache(maxsize=size)
+    def avoids(key: int) -> int:  # k avoids a run when it lacks the lowest bit
+        return and_slices(lacks, key & ~(key << 1 & not_lows))
+
+    @lru_cache(maxsize=size)
+    def product(z: int, v: int, join: bool) -> int:
+        """{k : k&z = v} (join: k|z = v), for masks v <= z (join: v >= z):
+        k holds v, avoids z less v (join: avoids top less v, holds v less z)."""
+        if join:
+            return avoids(top ^ v) & contains((v ^ (v >> 1 & not_tops)) & ~z)
+        return contains(v) & avoids(((v << 1 | lows) ^ v) & z)
+
+    @lru_cache(maxsize=size)
+    def triples(b: int, j: int) -> int:
+        """The points k that violate the property with b and j.  With d = b
+        less j and e = j less b: k&b = j&b holds b&j and avoids d, k&j =
+        b&j holds b&j and avoids e, k&b = k&j avoids d and e; for all but
+        cancellative, the join duals lie below b|j and hold e, the same
+        with d, and hold d and e."""
+        # on each block, d's lowest bit is the lowest that j lacks, (j << 1 |
+        # lows) ^ j, where b has it; its highest is b's, where j lacks it
+        ad = avoids(((j << 1 | lows) ^ j) & b)
+        ae = avoids(((b << 1 | lows) ^ b) & j)
+        x = contains(b & j) & (ad | ae) | ad & ae
+        if prop == CANCELLATIVE:
+            return x
+        cd = contains((b ^ (b >> 1 & not_tops)) & ~j)
+        ce = contains((j ^ (j >> 1 & not_tops)) & ~b)
+        return x | avoids(top ^ (b | j)) & (cd | ce) | cd & ce
 
     def excl(family: list, j: int, cands: int, need: int) -> int:
         jv = vals[j]
@@ -396,16 +383,16 @@ def exact_max(config: SearchConfig) -> SearchResult:
     interval = config.progress_interval if progress is not None else 0
 
     top = n - 1
-    tables: list = []  # per generator in use, g(n-1-r) at index r
+    # the _lanes of the running stage or rerun, the point that bit 0 of a
+    # lane stands for, and at index r the packed images of n-1-r, or 0
+    lanes, ones, base, packed = [], 0, 0, []
 
-    def first_of_size(cands: int, target: int, points: int, images: list) -> Optional[tuple]:
+    def first_of_size(cands: int, target: int, spread: int, images: int) -> Optional[tuple]:
         """Canonically first way to extend the chosen points to `target`
         points from cands, the bitset of the later points that still fit,
-        or None (also when the budget ran out).  points is the bitset of the
-        chosen points and images holds, per generator in `tables`, the
-        bitset of their images.  A child is skipped, before it costs a node,
-        when some generator maps it to a smaller sorted list.  Every child
-        is one node; the budget is checked after each."""
+        or None (also when the budget ran out).  spread and images pack the
+        chosen points for _lex_cut, which skips a child before it costs a
+        node.  Every child is one node; the budget is checked after each."""
         nonlocal nodes, stopped
         need = target - len(chosen) - 1  # the points still needed after the next
         while cands:
@@ -414,11 +401,18 @@ def exact_max(config: SearchConfig) -> SearchResult:
             j = bit.bit_length() - 1
             if c[j] <= need or cands.bit_count() < need:
                 return None  # both only shrink as j grows: no later j can do better
-            child_points = points | bit
             child_images = images
-            if tables:
-                child_images = _child_images(tables, images, top - j, child_points)
-                if child_images is None:
+            child_spread = spread
+            if lanes:
+                r = top - j
+                jbits = packed[r]
+                if not jbits:  # the images of j, in every lane
+                    for offset, table in lanes:
+                        jbits |= 1 << offset + table[r]
+                    packed[r] = jbits
+                child_images |= jbits
+                child_spread |= ones << j - base
+                if _lex_cut(child_images, child_spread, ones):
                     continue
             nodes += 1
             if nodes == budget:
@@ -433,11 +427,18 @@ def exact_max(config: SearchConfig) -> SearchResult:
                 rest = excl(chosen, j, cands, need)
                 chosen.append(j)
                 found = (None if rest.bit_count() < need
-                         else first_of_size(rest, target, child_points, child_images))
+                         else first_of_size(rest, target, child_spread, child_images))
                 chosen.pop()
             if found is not None or stopped:
                 return found
         return None
+
+    def from_root(cands: int, target: int, tables: list, lo: int) -> Optional[tuple]:
+        """first_of_size from no point, with lanes for the points lo..n-1."""
+        nonlocal lanes, ones, base, packed
+        lanes, ones, guards = _lanes(tables, lo, n) if tables else ([], 0, 0)
+        base, packed = lo, [0] * (n - lo) if tables else []
+        return first_of_size(cands, target, guards, 0)
 
     try:
         cap = _bound_cap(config.lattice, prop)
@@ -446,7 +447,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
         # low, the least image of i..n-1
         all_tables = [[] for _ in symmetries]
         lows = [n] * len(symmetries)
-        memo: dict = {}
+        keys = _member_keys(config.lattice, prop)
         target = 0  # the target of `members`, M_target
         for i in range(top, -1, -1):
             # stage i: is there a family of c[i+1]+1 points whose first point is i?
@@ -456,15 +457,15 @@ def exact_max(config: SearchConfig) -> SearchResult:
             lows = list(map(min, lows, at_i))
             for table, g in zip(all_tables, at_i):
                 table.append(g)
-            if c[i] != target:
-                target = c[i]
-                members = _members(config.lattice, prop, target, memo)
-            if not members >> i & 1:  # i lies in no family of c[i] points
+            if keys[i] < c[i] - 1:  # i lies in no family of c[i] points
                 c[i] -= 1
                 continue
+            if c[i] != target:
+                target = c[i]
+                members = _members(keys, target)
             # the generators that fix i and map {i..n-1} into itself
             tables = [table for table, low, g in zip(all_tables, lows, at_i) if low == i == g]
-            found = first_of_size(((1 << n) - (1 << i)) & members, c[i], 0, [0] * len(tables))
+            found = from_root(((1 << n) - (1 << i)) & members, c[i], tables, i)
             if found is None:
                 c[i] -= 1
             elif len(found) > len(best_indices):
@@ -479,9 +480,7 @@ def exact_max(config: SearchConfig) -> SearchResult:
         if not stopped:  # the rerun, under the same budget and node count
             for table, image in zip(all_tables, symmetries):  # down to g(0)
                 table.extend(map(image, range(top - len(table), -1, -1)))
-            tables = all_tables
-            members = _members(config.lattice, prop, c[0], memo)
-            found = first_of_size(members, c[0], 0, [0] * len(tables))
+            found = from_root(_members(keys, c[0]), c[0], all_tables, 0)
             if not stopped:
                 if found is None:  # pragma: no cover - stage 0 proves one exists
                     raise RuntimeError("internal error: lost the optimal family")

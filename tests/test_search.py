@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -24,7 +25,15 @@ from latsets import (
 )
 
 from latsets.lattice import enumerate_masks
-from latsets.search import _CACHE_BITS, _child_images, _exclusions, _members, _symmetries
+from latsets.search import (
+    _CACHE_BITS,
+    _exclusions,
+    _lanes,
+    _lex_cut,
+    _member_keys,
+    _members,
+    _symmetries,
+)
 from oracles import NAIVE_CHECKS, lex_leader_cut, random_lattice
 
 SC = "strongly_cancellative"
@@ -363,35 +372,56 @@ def test_symmetries_are_automorphisms():
                     assert (meet_image, join_image) == (ga & gb, ga | gb), lattice
 
 
-def test_child_images_match_list_rule():
-    # the bitset lex-leader test cuts a child exactly when the list rule
-    # does, on random ascending prefixes and index permutations; a third of
-    # the permutations map the child onto itself, an image that is equal
-    # and so never cut
-    rng = random.Random(6174)
-    outcomes = set()
+def _lex_cases(rng):
+    """(n, lo, child, perms): random ascending children of the points lo..n-1
+    with permutations of them, a third of which map the child onto itself,
+    an image that is equal and so never cut; then children whose new point
+    2 maps to n-1, the bit just under its lane's guard, in the lowest lane,
+    below a lane holding an equal image, where y is the guard alone and the
+    borrow must stop, and in one case a third lane that cuts."""
     for _ in range(3000):
         n = rng.randint(1, 40)
-        child = sorted(rng.sample(range(n), rng.randint(1, n)))
+        lo = rng.randrange(n) if rng.random() < 0.5 else 0
+        child = sorted(rng.sample(range(lo, n), rng.randint(1, n - lo)))
         perms = []
         for _ in range(rng.randint(1, 3)):
-            perm = list(range(n))
+            perm = list(range(lo, n))
             rng.shuffle(perm)
             if rng.random() < 1 / 3:
                 inside = rng.sample(child, len(child))
                 outside = [g for g in perm if g not in child]
-                perm = [inside.pop() if i in child else outside.pop() for i in range(n)]
-            perms.append(perm)
-        # the tables of exact search hold g(n-1-r) at index r
-        tables = [perm[::-1] for perm in perms]
-        images = [sum(1 << perm[i] for i in child[:-1]) for perm in perms]
-        got = _child_images(tables, images, n - 1 - child[-1], sum(1 << i for i in child))
-        if any(lex_leader_cut(perm.__getitem__, child) for perm in perms):
-            assert got is None, (perms, child)
-        else:
-            assert got == [sum(1 << perm[i] for i in child) for perm in perms], (perms, child)
-        outcomes.add((got is None, any(sorted(perm[i] for i in child) == child
-                                        for perm in perms)))
+                perm = [inside.pop() if i in child else outside.pop() for i in range(lo, n)]
+            perms.append(list(range(lo)) + perm)
+        yield n, lo, child, perms
+    for n in range(4, 9):
+        identity = list(range(n))
+        up = identity[:]
+        up[2], up[n - 1] = n - 1, 2
+        down = identity[:]
+        down[0], down[2] = 2, 0
+        yield n, 0, [1, 2], [up, identity]
+        yield n, 0, [1, 2], [up, identity, down]
+
+
+def test_lex_cut_matches_list_rule():
+    # the packed lex-leader test cuts a child exactly when the list rule
+    # does; images and spread are built as exact search builds them, each
+    # point ORing in its lane bits from the tables (g(n-1-r) at index r)
+    outcomes = set()
+    for n, lo, child, perms in _lex_cases(random.Random(6174)):
+        lanes, ones, guards = _lanes([perm[::-1] for perm in perms], lo, n)
+        images, spread = 0, guards
+        for i in child:
+            for offset, table in lanes:
+                images |= 1 << offset + table[n - 1 - i]
+            spread |= ones << i - lo
+        width = n - lo + 1
+        assert images == sum(sum(1 << perm[i] - lo for i in child) << q * width
+                             for q, perm in enumerate(perms)), (perms, child, lo)
+        cut = bool(_lex_cut(images, spread, ones))
+        assert cut == any(lex_leader_cut(perm.__getitem__, child) for perm in perms), (
+            perms, child, lo)
+        outcomes.add((cut, any(sorted(perm[i] for i in child) == child for perm in perms)))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
@@ -431,19 +461,21 @@ def test_exclusions_match_verifier():
     # for a valid family F and a point j that fits it, a point k that fits
     # F stays a candidate exactly when F + {j, k} is valid: with the caches
     # of exact search, with caches of two sets each, and with none.  F is
-    # random on b:4, d:3,3,2 and d:5,3, whose chain of 5 gives interior
-    # digits in every order; on b:5, where recovering families of four
-    # points exist, F runs over every pair, so that quads decide some k.
+    # random on b:4, d:3,3,2, d:5,3, whose chain of 5 gives interior digits
+    # in every order, and d:7,1,3, whose unit chain has no mask bit and
+    # whose 6-bit block is the first; on b:5, where recovering families of
+    # four points exist, F runs over every pair, so that quads decide some k.
     rng = random.Random(31415)
     for spec, props in (("b:4", (CANC, SC, REC)), ("d:3,3,2", (CANC, SC, REC)),
-                        ("d:5,3", (CANC, SC, REC)), ("b:5", (REC,))):
+                        ("d:5,3", (CANC, SC, REC)), ("d:7,1,3", (CANC, SC, REC)),
+                        ("b:5", (REC,))):
         lattice = parse_lattice_spec(spec)
         points = enumerate_lattice(lattice)
         n = len(points)
         for prop in props:
             fits = _family_fits(lattice, points, prop)
             variants = [_exclusions(lattice, prop, bits)
-                        for bits in (_CACHE_BITS, 4 * (n + 2048), 0)]
+                        for bits in (_CACHE_BITS, 8 * (n + 2048), 0)]
             families = ([list(pair) for pair in itertools.combinations(range(n), 2)]
                         if spec == "b:5" else
                         [_random_family(rng, n, fits, rng.randint(0, 5)) for _ in range(60)])
@@ -470,8 +502,34 @@ def test_cache_size_changes_only_time(monkeypatch):
             config = SearchConfig(lattice, prop)
             expected = exact_max(config).to_json_dict()
             with monkeypatch.context() as patch:
-                patch.setattr(latsets.search, "_CACHE_BITS", 4 * (lattice.size + 2048))
+                patch.setattr(latsets.search, "_CACHE_BITS", 8 * (lattice.size + 2048))
                 assert exact_max(config).to_json_dict() == expected, (spec, prop)
+
+
+def test_block_tables_hold_at_most_2n_sets(monkeypatch):
+    # each block table is keyed by one bit per block, or by a point's mask
+    # (b&j and top less b|j), so it holds at most 2n sets.  Keyed by the
+    # raw runs of j less b instead, d:300 fills avoids to its limit of
+    # 28 581 sets; there j's digit is above b's, so only d:3,100 has long
+    # runs of b less j, and keyed by those it fills both with 5 200
+    made = []
+
+    def spy(maxsize):
+        def wrap(function):
+            cached = functools.lru_cache(maxsize=maxsize)(function)
+            made.append(cached)
+            return cached
+        return wrap
+
+    monkeypatch.setattr(latsets.search, "lru_cache", spy)
+    for spec, prop, budget in (("d:300", CANC, None), ("d:300", SC, None),
+                               ("b:8", REC, 100_000), ("d:3,100", SC, None)):
+        made.clear()
+        lattice = parse_lattice_spec(spec)
+        exact_max(SearchConfig(lattice, prop, node_budget=budget))
+        sizes = {cached.__wrapped__.__name__: cached.cache_info().currsize for cached in made}
+        assert 0 < sizes["contains"] <= 2 * lattice.size, (spec, prop, sizes)
+        assert 0 < sizes["avoids"] <= 2 * lattice.size, (spec, prop, sizes)
 
 
 def test_exclusions_stop_early_only_below_need():
@@ -538,10 +596,10 @@ def test_member_filter_keeps_every_member():
         down = [math.prod(x + 1 for x in p.coords) for p in points]
         up = [math.prod(l - x for l, x in zip(lattice.lengths, p.coords)) for p in points]
         for prop in (CANC, SC, REC):
-            memo = {}
+            keys = _member_keys(lattice, prop)
             filters = {}
             for t in range(1, n + 2):
-                filters[t] = _members(lattice, prop, t, memo)
+                filters[t] = _members(keys, t)
                 assert filters[t] == sum(1 << i for i in range(n) if down[i] >= t - 1 and (
                     prop == CANC or up[i] >= t - 1)), (lattice, prop, t)
             for family in _valid_families(lattice, points, prop):
